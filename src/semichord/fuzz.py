@@ -128,9 +128,11 @@ def _stressed(angles: CentralAngles, gen: SplitMix64) -> CentralAngles:
     arcs = list(angles.arcs)
     target = gen.next_below(len(arcs))
     tiny = gen.next_positive_float() * _STRESS_ARC
-    others = math.pi - arcs[target]
-    if others <= 0.0:
-        return angles  # one arc already rounded to the full half turn
+    # Summing the other arcs, rather than taking pi minus the target,
+    # keeps the rounding of pi - arc out of the factor: when the target
+    # is within ~1e-4 of pi the factor is ~1e4 and would magnify it past
+    # ARC_SUM_TOL.
+    others = math.fsum(a for i, a in enumerate(arcs) if i != target)
     factor = (math.pi - tiny) / others
     rescaled = [tiny if i == target else a * factor for i, a in enumerate(arcs)]
     return CentralAngles(rescaled)

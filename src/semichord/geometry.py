@@ -18,7 +18,8 @@ from .errors import DomainError, InvalidAnglesError
 #: Absolute tolerance on the arc partition summing to a half turn.
 ARC_SUM_TOL = 1e-12
 
-#: Relative tolerance (scaled by R or R^2) for on-circle vertex checks.
+#: Relative tolerance (scaled by R, or on coordinates divided by R) for
+#: on-circle vertex checks.
 VERTEX_TOL = 1e-12
 
 
@@ -77,7 +78,9 @@ class InscribedPolygon:
             raise InvalidAnglesError("diameter endpoints must sit at (-R, 0) and (R, 0)")
         prev_angle = math.pi
         for x, y in pts:
-            if abs(x * x + y * y - R * R) > VERTEX_TOL * R * R:
+            # Scale-free: x*x + y*y - R*R under- or overflows far from R = 1.
+            xr, yr = x / R, y / R
+            if abs(xr * xr + yr * yr - 1.0) > VERTEX_TOL:
                 raise InvalidAnglesError(f"vertex ({x!r}, {y!r}) is off the circle")
             if y < -tol:
                 raise InvalidAnglesError(f"vertex ({x!r}, {y!r}) is below the diameter")

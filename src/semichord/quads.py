@@ -21,7 +21,7 @@ from itertools import permutations
 from .errors import DomainError, PlacementError
 from .geometry import CentralAngles, InscribedPolygon, diagonal, vertices_from_angles
 from .identity import rhs_quadrilateral
-from .solver import arcs_from_sides
+from .solver import _newton_descent, arcs_from_sides
 
 #: Slack (radians) before two chords count as overshooting the half turn.
 _PLACEMENT_SLACK = 1e-12
@@ -55,48 +55,30 @@ class CounterexampleReport:
 def diameter_cubic(a: float, b: float, c: float) -> float:
     """Unique positive root of d^3 - (a^2+b^2+c^2) d - 2abc.
 
-    Found by bracketed bisection on [max(a,b,c), a+b+c] followed by a
-    Newton polish; the bracket is guaranteed because the cubic is
-    negative at the largest side and positive at the perimeter sum.
-    Closed-form resolution is avoided on purpose: the three-real-root
-    case needs trigonometric branches, while bisection is unconditional.
+    Scale-free: with m = max(a, b, c) and u = d / m, the cubic
+    u^3 - (sum of squared ratios) u - 2 (product of ratios) is
+    increasing and convex for u >= 1, where the root lies, and
+    u0 = (a + b + c) / m lies right of it, so the monotone Newton
+    descent shared with :func:`~semichord.solver.solve_diameter`
+    falls onto the root from there.  Closed-form resolution is avoided
+    on purpose: the three-real-root case needs trigonometric branches.
+    Raises :class:`DomainError` when d is not a finite float, as when
+    it overflows.
     """
     if a <= 0.0 or b <= 0.0 or c <= 0.0:
         raise DomainError("all three sides must be strictly positive")
-    s = a * a + b * b + c * c
-    p = 2.0 * a * b * c
+    m = max(a, b, c)
+    ca, cb, cc = a / m, b / m, c / m
+    s = ca * ca + cb * cb + cc * cc
+    p = 2.0 * ca * cb * cc
 
-    def f(d: float) -> float:
-        return (d * d - s) * d - p
+    def h(u: float) -> tuple[float, float]:
+        return (u * u - s) * u - p, 3.0 * u * u - s
 
-    lo = max(a, b, c)
-    hi = a + b + c
-    while hi - lo > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-    d = min(max(0.5 * (lo + hi), lo), hi)
-    fd = f(d)
-    for _ in range(100):
-        if fd < 0.0:
-            lo = d
-        elif fd > 0.0:
-            hi = d
-        else:
-            break
-        slope = 3.0 * d * d - s
-        nxt = d - fd / slope if slope > 0.0 else 0.5 * (lo + hi)
-        if not lo < nxt < hi or nxt == d:
-            nxt = 0.5 * (lo + hi)
-            if nxt == d or not lo <= nxt <= hi:
-                break  # bracket at floating-point resolution
-        d = nxt
-        fd = f(d)
+    u, _, _ = _newton_descent(h, ca + cb + cc, 1.0)
+    d = m * u
+    if not math.isfinite(d):
+        raise DomainError(f"sides {(a, b, c)!r} have no finite diameter")
     return d
 
 

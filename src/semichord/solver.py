@@ -7,10 +7,17 @@ root of
 
     arc_sum(d) = sum_i 2*asin(a_i / d) = pi,
 
-which is strictly decreasing in d.  The root is bracketed a priori:
-at d = max(sides) the largest side alone contributes the full half
-turn, and at d = sum(sides) the sum falls short because asin(x) < x*pi/2
-for x < 1.
+which is strictly decreasing in d.  The solver works scale-free: with m
+the largest side and c_i = a_i / m it solves
+
+    g(t) = sum_i 2*asin(c_i t) - pi = 0    for t = m / d,
+
+where g is increasing and convex on [0, 1].  The squared-diameter
+identity gives d^2 = sum a_i^2 + (positive cross terms), so
+t0 = 1 / sqrt(sum c_i^2) lies right of the root, and Newton's method
+from there falls monotonically onto it without a bracketing phase.  The
+returned bracket is then certified in :func:`arc_sum`'s own arithmetic
+by stepping outward from d until the arc sum crosses pi.
 """
 
 from __future__ import annotations
@@ -21,23 +28,8 @@ from dataclasses import dataclass
 from .errors import ConvergenceError, DomainError
 from .geometry import CentralAngles, InscribedPolygon, vertices_from_angles
 
-#: Iteration cap shared by the bisection and Newton phases.
+#: Cap on Newton steps; monotone descent settles in well under ten.
 MAX_ITERATIONS = 200
-
-#: Bisect until the bracket is this fraction of the largest side, then
-#: switch to Newton; asin's derivative blows up at d = max(sides), so
-#: Newton is unsafe near the lower bracket edge.
-_NEWTON_SWITCH = 1e-3
-
-#: Arc-sum residual reachable for well-conditioned side sets.  When one
-#: side is within a few ulps of the diameter the asin evaluation alone
-#: carries more noise than this, so the solver stops at the bracket's
-#: floating-point resolution and reports whatever residual remains
-#: rather than failing: d itself is still accurate to the last bit.
-RESIDUAL_TOL = 1e-12
-
-#: Stop iterating once the residual is safely below RESIDUAL_TOL.
-_TARGET = 1e-13
 
 #: Ratios may exceed 1 by this much before counting as a domain error.
 _CLAMP_SLACK = 1e-15
@@ -45,13 +37,38 @@ _CLAMP_SLACK = 1e-15
 
 @dataclass(frozen=True, slots=True)
 class DiameterSolution:
-    """Solved diameter with its bracket certificate."""
+    """Solved diameter with its bracket certificate.
+
+    ``arc_sum(bracket_low) >= pi >= arc_sum(bracket_high)`` holds as
+    :func:`arc_sum` computes it.  ``iterations`` counts Newton steps, and
+    ``arc_sum_residual`` is the arc-sum error at the final iterate, taken
+    on the sides divided by the largest one, so it does not depend on
+    the sides' scale.
+    """
 
     d: float
     bracket_low: float
     bracket_high: float
     iterations: int
     arc_sum_residual: float
+
+
+def _ratio(a: float, d: float) -> float:
+    """a/d, with floating-point noise above 1 clamped to exactly 1."""
+    ratio = a / d
+    if ratio > 1.0:
+        if ratio > 1.0 + _CLAMP_SLACK:
+            raise DomainError(f"side {a!r} exceeds diameter {d!r}")
+        ratio = 1.0
+    return ratio
+
+
+def _arc_total(d: float, sides: tuple[float, ...]) -> float:
+    """arc_sum without input validation; bit-identical to it."""
+    total = 0.0
+    for a in sides:
+        total += math.asin(_ratio(a, d))
+    return 2.0 * total
 
 
 def arc_sum(d: float, sides) -> float:
@@ -66,101 +83,97 @@ def arc_sum(d: float, sides) -> float:
         raise DomainError("need at least one side")
     if d <= 0.0:
         raise DomainError(f"diameter must be positive, got {d!r}")
-    total = 0.0
     for a in sides:
         if a < 0.0:
             raise DomainError(f"sides must be non-negative, got {a!r}")
-        ratio = a / d
-        if ratio > 1.0:
-            if ratio > 1.0 + _CLAMP_SLACK:
-                raise DomainError(f"side {a!r} exceeds diameter {d!r}")
-            ratio = 1.0
-        total += math.asin(ratio)
-    return 2.0 * total
+    return _arc_total(d, sides)
 
 
-def _arc_sum_slope(d: float, sides: tuple[float, ...]) -> float:
-    """d/dd of arc_sum; negative for d above the largest side."""
-    total = 0.0
-    for a in sides:
-        gap = (d - a) * (d + a)
-        if gap <= 0.0:
-            return -math.inf
-        total += a / (d * math.sqrt(gap))
-    return -2.0 * total
+def _newton_descent(f, x: float, floor: float) -> tuple[float, float, int]:
+    """Root of an increasing convex ``f`` by Newton's method from ``x``.
+
+    ``x`` must lie right of the root and ``floor`` left of it; ``f``
+    returns its value and slope.  On an increasing convex function a
+    Newton step from the right never crosses the root, so the iterates
+    fall monotonically onto it (safeguarded Newton as in Press et al.,
+    Numerical Recipes, section 9.4, with convexity as the safeguard).
+    Stops at the first iterate whose value is no longer positive, or
+    when a step no longer moves x down: rounding at the root, or an
+    infinite slope.  Returns the iterate, its value and the step count.
+    """
+    value, slope = f(x)
+    steps = 0
+    while value > 0.0:
+        nxt = x - value / slope
+        if not nxt < x:
+            break
+        if steps == MAX_ITERATIONS:
+            raise ConvergenceError(
+                f"Newton descent did not settle in {MAX_ITERATIONS} steps "
+                f"(bracket in the normalised variable)",
+                floor,
+                x,
+            )
+        steps += 1
+        x = nxt
+        value, slope = f(x)
+    return x, value, steps
+
+
+def _bracket_end(sides: tuple[float, ...], d: float, sign: float) -> float:
+    """Bracket end beyond d in direction ``sign``, as arc_sum computes it.
+
+    Below d the end has an arc sum of at least pi, above d at most pi.
+    Steps double from one ulp.  Downward steps stop at the largest side,
+    where the arc sum is at least pi.
+    """
+    floor = max(sides)
+    step = math.ulp(d)
+    while True:
+        end = max(d + sign * step, floor)
+        if sign * (_arc_total(end, sides) - math.pi) <= 0.0:
+            return end
+        step *= 2.0
 
 
 def solve_diameter(sides) -> DiameterSolution:
     """Find the unique diameter on which the sides fill a semicircle.
 
-    Bisection narrows the a-priori bracket [max(sides), sum(sides)],
-    then Newton polishes, falling back to a bisection step whenever the
-    Newton iterate would leave the bracket.  Iteration stops when the
-    residual target is met or the bracket has collapsed to adjacent
-    floats; only exhausting the iteration cap raises.
+    Monotone Newton on t = max(sides) / d from the identity's bound
+    t0 = max(sides) / sqrt(sum(a^2)) (see the module docstring), then
+    the bracket is certified around d.  Raises :class:`DomainError` when
+    the diameter is not a finite float, as when it overflows.
     """
     sides = tuple(float(s) for s in sides)
     if len(sides) < 2:
         raise DomainError("need at least 2 sides to form a polygon on the semicircle")
     if any(s <= 0.0 for s in sides):
         raise DomainError("all sides must be strictly positive")
-    lo = max(sides)
-    hi = sum(sides)
+    m = max(sides)
+    ratios = [a / m for a in sides]
 
-    def g(t: float) -> float:
-        return arc_sum(t, sides) - math.pi
+    def g(t: float) -> tuple[float, float]:
+        total = slope = 0.0
+        for c in ratios:
+            x = c * t
+            total += math.asin(x)
+            gap = (1.0 - x) * (1.0 + x)
+            slope += c / math.sqrt(gap) if gap > 0.0 else math.inf
+        return 2.0 * total - math.pi, 2.0 * slope
 
-    iterations = 0
-    d = None
-    gd = 0.0
+    t0 = 1.0 / math.sqrt(math.fsum(c * c for c in ratios))
+    t, residual, steps = _newton_descent(g, t0, 1.0 / math.fsum(ratios))
+    d = m / t
+    if not math.isfinite(d):
+        raise DomainError(f"sides {sides!r} have no finite diameter")
 
-    switch_width = _NEWTON_SWITCH * lo
-    while hi - lo > switch_width:
-        if iterations >= MAX_ITERATIONS:
-            raise ConvergenceError("bisection exceeded the iteration cap", lo, hi)
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        gm = g(mid)
-        if gm > 0.0:
-            lo = mid
-        elif gm < 0.0:
-            hi = mid
-        else:
-            d, gd = mid, 0.0
-            break
-
-    if d is None:
-        d = min(max(0.5 * (lo + hi), lo), hi)
-        gd = g(d)
-
-    while True:
-        if gd > 0.0:
-            lo = d
-        elif gd < 0.0:
-            hi = d
-        if abs(gd) <= _TARGET:
-            break
-        if iterations >= MAX_ITERATIONS:
-            raise ConvergenceError(
-                f"arc-sum residual stalled at {abs(gd):.3e}", lo, hi
-            )
-        iterations += 1
-        nxt = d - gd / _arc_sum_slope(d, sides)
-        if not lo < nxt < hi or nxt == d:
-            nxt = 0.5 * (lo + hi)
-            if nxt == d or not lo <= nxt <= hi:
-                break  # bracket at floating-point resolution
-        d = nxt
-        gd = g(d)
-
+    excess = _arc_total(d, sides) - math.pi
     return DiameterSolution(
         d=d,
-        bracket_low=lo,
-        bracket_high=hi,
-        iterations=iterations,
-        arc_sum_residual=abs(gd),
+        bracket_low=d if excess >= 0.0 else _bracket_end(sides, d, -1.0),
+        bracket_high=d if excess <= 0.0 else _bracket_end(sides, d, 1.0),
+        iterations=steps,
+        arc_sum_residual=abs(residual),
     )
 
 
@@ -173,14 +186,7 @@ def arcs_from_sides(sides, d: float) -> list[float]:
     well-conditioned rounding.
     """
     sides = tuple(float(s) for s in sides)
-    arcs = []
-    for a in sides:
-        ratio = a / d
-        if ratio > 1.0:
-            if ratio > 1.0 + _CLAMP_SLACK:
-                raise DomainError(f"side {a!r} exceeds diameter {d!r}")
-            ratio = 1.0
-        arcs.append(2.0 * math.asin(ratio))
+    arcs = [2.0 * math.asin(_ratio(a, d)) for a in sides]
     widest = max(range(len(sides)), key=lambda i: sides[i])
     arcs[widest] = math.pi - math.fsum(
         arc for i, arc in enumerate(arcs) if i != widest
