@@ -1,10 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its finiteness guard.
 
 Each class carries a short machine-readable ``code`` so the CLI can map
 failures to structured error payloads without string matching.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class SemichordError(Exception):
@@ -52,3 +54,15 @@ class WriteError(SemichordError, OSError):
     """An output file could not be written."""
 
     code = "write"
+
+
+def require_finite(value: float, name: str) -> None:
+    """Raise ``DomainError`` unless ``value`` is finite.
+
+    Range guards are written as negated comparisons (``not R > 0.0``) so
+    that nan fails them; this covers the scalars, such as a radius, where
+    inf would still pass.  The message names no value, so CLI output
+    never carries a ``nan`` or ``inf`` token.
+    """
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite")

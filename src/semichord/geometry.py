@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidAnglesError
+from .errors import DomainError, InvalidAnglesError, require_finite
 
 #: Absolute tolerance on the arc partition summing to a half turn.
 ARC_SUM_TOL = 1e-12
@@ -35,8 +35,14 @@ class CentralAngles:
             raise InvalidAnglesError("need at least 2 arcs (3 vertices)")
         if any(a < 0.0 for a in self.arcs):
             raise InvalidAnglesError("arcs must be non-negative")
-        total = math.fsum(self.arcs)
-        if abs(total - math.pi) > ARC_SUM_TOL:
+        try:
+            total = math.fsum(self.arcs)
+        except OverflowError:
+            total = math.inf
+        # Negated so that a nan arc, which makes the sum nan, fails it.
+        if not abs(total - math.pi) <= ARC_SUM_TOL:
+            if not math.isfinite(total):
+                raise InvalidAnglesError("arcs must be finite and sum to pi")
             raise InvalidAnglesError(
                 f"arcs must sum to pi, got {total!r} (off by {total - math.pi:.3e})"
             )
@@ -66,21 +72,23 @@ class InscribedPolygon:
             self, "vertices", tuple((float(x), float(y)) for x, y in self.vertices)
         )
         R = self.radius
-        if R <= 0.0:
+        if not R > 0.0:
             raise DomainError("radius must be positive")
+        require_finite(R, "radius")
         pts = self.vertices
         if len(pts) < 3:
             raise InvalidAnglesError("polygon needs at least 3 vertices")
         tol = VERTEX_TOL * R
         x0, y0 = pts[0]
         xn, yn = pts[-1]
-        if math.hypot(x0 + R, y0) > tol or math.hypot(xn - R, yn) > tol:
+        if not (math.hypot(x0 + R, y0) <= tol and math.hypot(xn - R, yn) <= tol):
             raise InvalidAnglesError("diameter endpoints must sit at (-R, 0) and (R, 0)")
         prev_angle = math.pi
         for x, y in pts:
             # Scale-free: x*x + y*y - R*R under- or overflows far from R = 1.
             xr, yr = x / R, y / R
-            if abs(xr * xr + yr * yr - 1.0) > VERTEX_TOL:
+            # Negated so that a nan coordinate fails it.
+            if not abs(xr * xr + yr * yr - 1.0) <= VERTEX_TOL:
                 raise InvalidAnglesError(f"vertex ({x!r}, {y!r}) is off the circle")
             if y < -tol:
                 raise InvalidAnglesError(f"vertex ({x!r}, {y!r}) is below the diameter")
@@ -104,10 +112,11 @@ class ChordSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sides", tuple(float(s) for s in self.sides))
-        if any(s < 0.0 for s in self.sides):
+        if not all(s >= 0.0 for s in self.sides):
             raise DomainError("sides must be non-negative")
-        if self.diameter <= 0.0:
+        if not self.diameter > 0.0:
             raise DomainError("diameter must be positive")
+        require_finite(self.diameter, "diameter")
         if self.sides and self.diameter < max(self.sides):
             raise DomainError("a chord cannot exceed the diameter")
 
@@ -122,8 +131,9 @@ def chord_from_angle(arc: float, radius: float) -> float:
     Monotone increasing in ``arc`` on [0, pi]; the half-turn chord is the
     diameter.
     """
-    if radius <= 0.0:
+    if not radius > 0.0:
         raise DomainError("radius must be positive")
+    require_finite(radius, "radius")
     if not 0.0 <= arc <= math.pi:
         raise DomainError(f"arc must lie in [0, pi], got {arc!r}")
     return 2.0 * radius * math.sin(0.5 * arc)
@@ -136,7 +146,7 @@ def vertices_from_angles(angles: CentralAngles, radius: float) -> InscribedPolyg
     The diameter endpoints are snapped exactly onto (-R, 0) and (R, 0);
     the arc-sum invariant bounds the snap below the vertex tolerance.
     """
-    if radius <= 0.0:
+    if not radius > 0.0:
         raise DomainError("radius must be positive")
     pts = [(-radius, 0.0)]
     theta = math.pi

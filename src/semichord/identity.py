@@ -17,6 +17,7 @@ evaluators stay independent of the diameter solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -49,7 +50,7 @@ class IdentityReport:
 
 def _require_non_negative(**lengths: float) -> None:
     for name, value in lengths.items():
-        if value < 0.0:
+        if not value >= 0.0:
             raise DomainError(f"{name} must be non-negative, got {value!r}")
 
 
@@ -59,10 +60,25 @@ def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
     Symmetric in (a, b, c).  With any short side zero this collapses to
     the right-triangle sum of two squares.
     """
-    if d <= 0.0:
+    if not d > 0.0:
         raise DomainError(f"diameter must be positive, got {d!r}")
     _require_non_negative(a=a, b=b, c=c)
     return a * a + b * b + c * c + 2.0 * a * b * c / d
+
+
+def _quadrilateral_residual(
+    a: float, b: float, c: float, d: float
+) -> tuple[float, float, float]:
+    """Right side, absolute and relative residual of the 4-vertex identity.
+
+    The relative residual is |d^2 - rhs| / d^2.  The single code path for
+    the quadrilateral relation: ``nested_quadrilateral_check`` and
+    ``run_fuzz`` (on the chords of a cross term) both call it.
+    """
+    rhs = rhs_quadrilateral(a, b, c, d)
+    lhs = d * d
+    residual_abs = abs(lhs - rhs)
+    return rhs, residual_abs, residual_abs / lhs
 
 
 def rhs_pentagon(
@@ -74,7 +90,7 @@ def rhs_pentagon(
     chord from the third to the last.  All four squared short sides
     appear in the sum; the cross terms are (a*b*y + x*c*d)/R.
     """
-    if R <= 0.0:
+    if not R > 0.0:
         raise DomainError(f"radius must be positive, got {R!r}")
     _require_non_negative(a=a, b=b, c=c, d=d, x=x, y=y)
     return a * a + b * b + c * c + d * d + (a * b * y + x * c * d) / R
@@ -97,7 +113,7 @@ def rhs_hexagon(
     Diagonals: ``y`` joins vertices 1-3, ``u`` joins 1-4, ``z`` joins
     3-6, ``x`` joins 4-6.  Cross terms are (a*b*z + y*c*x + u*d*e)/R.
     """
-    if R <= 0.0:
+    if not R > 0.0:
         raise DomainError(f"radius must be positive, got {R!r}")
     _require_non_negative(a=a, b=b, c=c, d=d, e=e, x=x, y=y, z=z, u=u)
     return a * a + b * b + c * c + d * d + e * e + (a * b * z + y * c * x + u * d * e) / R
@@ -106,18 +122,31 @@ def rhs_hexagon(
 def evaluate_general(poly: InscribedPolygon) -> IdentityReport:
     """Measure every side and needed diagonal, evaluate the identity.
 
+    Cross term k carries the three short sides of nested quadrilateral k,
+    the one on vertices (1, k+1, k+2, n): ``first_diagonal`` is the chord
+    (1, k+1), ``side`` the chord (k+1, k+2) and ``second_diagonal`` the
+    chord (k+2, n).  Together with the diameter they give that
+    quadrilateral's relation bit for bit as ``nested_quadrilateral_check``
+    measures it.  Chords are measured with ``math.hypot`` straight from
+    the vertex coordinates, the same arithmetic as ``diagonal``.
+
     The residual is reported both absolutely and relative to the left
     side d^2, which is strictly positive for any valid polygon.
     """
     n = poly.n
+    pts = poly.vertices
+    x0, y0 = pts[0]
+    xe, ye = pts[-1]
     sides = side_lengths(poly)
-    d = diagonal(poly, 0, n - 1)
+    d = math.hypot(xe - x0, ye - y0)
     sum_sq = sum(s * s for s in sides)
     terms = []
     for k in range(1, n - 2):
-        first = diagonal(poly, 0, k)
+        xk, yk = pts[k]
+        xm, ym = pts[k + 1]
+        first = math.hypot(xk - x0, yk - y0)
         side = sides[k]
-        second = diagonal(poly, k + 1, n - 1)
+        second = math.hypot(xe - xm, ye - ym)
         terms.append(CrossTerm(k, first, side, second, first * side * second))
     rhs = sum_sq + 2.0 * sum(t.term_value for t in terms) / d
     lhs = d * d
@@ -147,17 +176,15 @@ def nested_quadrilateral_check(poly: InscribedPolygon, k: int) -> IdentityReport
     b = diagonal(poly, k, k + 1)
     c = diagonal(poly, k + 1, n - 1)
     d = diagonal(poly, 0, n - 1)
-    rhs = rhs_quadrilateral(a, b, c, d)
-    lhs = d * d
-    residual_abs = abs(lhs - rhs)
+    rhs, residual_abs, residual_rel = _quadrilateral_residual(a, b, c, d)
     return IdentityReport(
         n=4,
-        lhs=lhs,
+        lhs=d * d,
         sum_of_squares=a * a + b * b + c * c,
         cross_terms=(CrossTerm(1, a, b, c, a * b * c),),
         rhs=rhs,
         residual_abs=residual_abs,
-        residual_rel=residual_abs / lhs,
+        residual_rel=residual_rel,
     )
 
 

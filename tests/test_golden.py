@@ -30,6 +30,10 @@ COMMANDS = {
     "construct_3_4_5": ["construct", "3,4,5"],
     "counterexample": ["counterexample"],
     "fuzz_trials_200": ["fuzz", "--trials", "200"],
+    "fuzz_trials_300_seed_7_n_max_64_tolerance_5e-16": [
+        "fuzz", "--trials", "300", "--seed", "7", "--n-max", "64",
+        "--tolerance", "5e-16",
+    ],
     "render_55_55_70_radius_4": [
         "render", "55,55,70", "--radius", "4", "--out", SVG_NAME,
     ],

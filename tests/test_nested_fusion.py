@@ -1,0 +1,77 @@
+"""The general identity's cross terms carry the nested quadrilaterals' chords.
+
+``run_fuzz`` takes each ``nested k=...`` residual from cross term k of
+its single ``evaluate_general`` call instead of calling
+``nested_quadrilateral_check``.  That is only sound if the chords and the
+residual agree bit for bit, which these tests check on random polygons,
+some with one arc forced tiny (two vertices nearly coincide).
+"""
+
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from semichord import (
+    CentralAngles,
+    diagonal,
+    evaluate_general,
+    nested_quadrilateral_check,
+    vertices_from_angles,
+)
+from semichord.identity import _quadrilateral_residual
+
+
+@st.composite
+def polygons(draw, min_n=4, max_n=64):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    weights = draw(
+        st.lists(
+            st.floats(min_value=1e-4, max_value=1.0),
+            min_size=n - 1,
+            max_size=n - 1,
+        )
+    )
+    total = math.fsum(weights)
+    arcs = [math.pi * w / total for w in weights]
+    if draw(st.booleans()):
+        target = draw(st.integers(min_value=0, max_value=n - 2))
+        tiny = draw(st.floats(min_value=1e-15, max_value=1e-6))
+        others = math.fsum(a for i, a in enumerate(arcs) if i != target)
+        factor = (math.pi - tiny) / others
+        arcs = [tiny if i == target else a * factor for i, a in enumerate(arcs)]
+    radius = draw(st.floats(min_value=1e-3, max_value=1e3))
+    return vertices_from_angles(CentralAngles(arcs), radius)
+
+
+STRESSED_PENTAGON = vertices_from_angles(
+    CentralAngles([1e-9, 1.0, 1.0, math.pi - 2.0 - 1e-9]), 3.0
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polygons())
+@example(STRESSED_PENTAGON)
+def test_cross_term_chords_are_the_nested_quadrilateral_sides(poly):
+    n = poly.n
+    terms = evaluate_general(poly).cross_terms
+    assert [t.k for t in terms] == list(range(1, n - 2))
+    for t in terms:
+        assert t.first_diagonal == diagonal(poly, 0, t.k)
+        assert t.side == diagonal(poly, t.k, t.k + 1)
+        assert t.second_diagonal == diagonal(poly, t.k + 1, n - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polygons())
+@example(STRESSED_PENTAGON)
+def test_cross_term_residual_equals_nested_check(poly):
+    d = diagonal(poly, 0, poly.n - 1)
+    for t in evaluate_general(poly).cross_terms:
+        rhs, residual_abs, residual_rel = _quadrilateral_residual(
+            t.first_diagonal, t.side, t.second_diagonal, d
+        )
+        report = nested_quadrilateral_check(poly, t.k)
+        assert rhs == report.rhs
+        assert residual_abs == report.residual_abs
+        assert residual_rel == report.residual_rel

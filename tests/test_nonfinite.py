@@ -1,0 +1,167 @@
+"""nan and inf inputs are rejected with a coded error, never carried along.
+
+Range guards are negated comparisons, so a nan fails them; radii and the
+fuzz tolerance, where inf would still pass a comparison, also go through
+one shared finiteness check.  On the command line such input exits 1
+with an error code and prints no ``nan`` or ``inf`` token.
+"""
+
+import json
+import math
+import re
+
+import pytest
+
+from semichord import (
+    CentralAngles,
+    ChordSet,
+    DomainError,
+    FuzzConfig,
+    InscribedPolygon,
+    InvalidAnglesError,
+    chord_from_angle,
+    rhs_hexagon,
+    rhs_pentagon,
+    rhs_quadrilateral,
+    vertices_from_angles,
+)
+from semichord.cli import main
+
+NAN = math.nan
+INF = math.inf
+HALF = math.pi / 2
+TRIANGLE = ((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0))
+
+NONFINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+class TestCentralAngles:
+    @pytest.mark.parametrize(
+        "arcs",
+        [
+            [NAN, HALF, HALF],
+            [HALF, HALF, NAN],
+            [INF, HALF],
+            [INF, NAN],
+            [1e308, 1e308],
+        ],
+    )
+    def test_non_finite_partition_rejected(self, arcs):
+        with pytest.raises(InvalidAnglesError):
+            CentralAngles(arcs)
+
+    def test_message_names_no_non_finite_value(self):
+        with pytest.raises(InvalidAnglesError) as info:
+            CentralAngles([NAN, HALF, HALF])
+        assert not NONFINITE_TOKEN.search(str(info.value))
+
+
+class TestInscribedPolygon:
+    @pytest.mark.parametrize("radius", [NAN, INF, -INF])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(DomainError):
+            InscribedPolygon(radius, TRIANGLE)
+
+    @pytest.mark.parametrize(
+        "vertex", [(NAN, 1.0), (0.0, NAN), (INF, 1.0), (0.0, INF)]
+    )
+    def test_non_finite_vertex_rejected(self, vertex):
+        with pytest.raises(InvalidAnglesError):
+            InscribedPolygon(1.0, ((-1.0, 0.0), vertex, (1.0, 0.0)))
+
+    @pytest.mark.parametrize("end", [(NAN, 0.0), (1.0, NAN)])
+    def test_non_finite_endpoint_rejected(self, end):
+        with pytest.raises(InvalidAnglesError):
+            InscribedPolygon(1.0, ((-1.0, 0.0), (0.0, 1.0), end))
+
+
+class TestRadiusArguments:
+    @pytest.mark.parametrize("radius", [NAN, INF])
+    def test_vertices_from_angles_rejects_non_finite_radius(self, radius):
+        with pytest.raises(DomainError):
+            vertices_from_angles(CentralAngles([HALF, HALF]), radius)
+
+    @pytest.mark.parametrize("radius", [NAN, INF])
+    def test_chord_from_angle_rejects_non_finite_radius(self, radius):
+        with pytest.raises(DomainError):
+            chord_from_angle(HALF, radius)
+
+
+class TestChordSet:
+    @pytest.mark.parametrize(
+        "sides, diameter",
+        [((NAN, 1.0), 2.0), ((1.0, 1.0), NAN), ((1.0, 1.0), INF)],
+    )
+    def test_non_finite_chords_rejected(self, sides, diameter):
+        with pytest.raises(DomainError):
+            ChordSet(sides, diameter)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize(
+        "args", [(NAN, 1.0, 1.0, 2.0), (1.0, 1.0, 1.0, NAN)]
+    )
+    def test_quadrilateral_rejects_nan(self, args):
+        with pytest.raises(DomainError):
+            rhs_quadrilateral(*args)
+
+    @pytest.mark.parametrize("position", range(7))
+    def test_pentagon_rejects_nan(self, position):
+        args = [1.0] * 7
+        args[position] = NAN
+        with pytest.raises(DomainError):
+            rhs_pentagon(*args)
+
+    @pytest.mark.parametrize("position", range(10))
+    def test_hexagon_rejects_nan(self, position):
+        args = [1.0] * 10
+        args[position] = NAN
+        with pytest.raises(DomainError):
+            rhs_hexagon(*args)
+
+
+class TestFuzzConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tolerance_rel": NAN},
+            {"tolerance_rel": INF},
+            {"radius_max": INF},
+            {"radius_min": NAN},
+        ],
+    )
+    def test_non_finite_config_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            FuzzConfig(**kwargs)
+
+
+class TestCli:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify", "90,90", "--radius", "nan"], "domain"),
+            (["verify", "90,90", "--radius", "inf"], "domain"),
+            (["verify", "nan,90,90", "--radius", "1"], "invalid_angles"),
+            (["verify", "inf,90", "--radius", "1"], "invalid_angles"),
+            (["render", "90,90", "--radius", "nan", "--out", "d.svg"], "domain"),
+            (["fuzz", "--trials", "2", "--tolerance", "nan"], "domain"),
+            (["fuzz", "--trials", "2", "--tolerance", "inf"], "domain"),
+            (["fuzz", "--trials", "2", "--radius-max", "inf"], "domain"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_exits_with_code_and_no_non_finite_token(
+        self, argv, code, fmt, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        status = main(argv + ["--format", fmt])
+        out = capsys.readouterr().out
+        assert status == 1
+        assert not NONFINITE_TOKEN.search(out), out
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["status"] == "error"
+            assert doc["payload"]["code"] == code
+        else:
+            assert f"payload.code = {code}" in out.splitlines()
+        assert not (tmp_path / "d.svg").exists()
