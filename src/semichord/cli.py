@@ -10,13 +10,14 @@ so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, dataclass
-from math import radians
+from functools import cache
+from json.encoder import encode_basestring_ascii
+from math import isfinite, radians
 from typing import Any, Sequence
 
-from .errors import ParseError, SemichordError, WriteError
+from .errors import DomainError, ParseError, SemichordError, WriteError
 from .fuzz import FuzzConfig, run_fuzz
 from .geometry import (
     CentralAngles,
@@ -161,34 +162,51 @@ _HANDLERS = {
 
 
 def _format_float(value: float) -> str:
+    if not isfinite(value):
+        raise DomainError("payload holds a non-finite number")
     return format(value, ".15g")
 
 
-def _to_json(value: Any, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(k))}: {_to_json(v, indent + 1)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [f"{inner}{_to_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _format_float(value)
-    if value is None:
-        return "null"
-    return json.dumps(str(value))
+def _to_json(value: Any) -> str:
+    """Indented JSON in one walk that appends to a single list.
+
+    Dispatches on exact type: payloads are plain ``dataclasses.asdict``
+    trees, and any type not listed is written as its quoted ``str``.
+    """
+    parts: list[str] = []
+    emit = parts.append
+
+    def walk(value: Any, newline: str) -> None:
+        kind = type(value)
+        if kind is float:
+            emit(_format_float(value))
+        elif kind is dict:
+            inner = newline + "  "
+            sep = "{" + inner
+            for k, v in value.items():
+                emit(sep + encode_basestring_ascii(str(k)) + ": ")
+                walk(v, inner)
+                sep = "," + inner
+            emit(newline + "}" if value else "{}")
+        elif kind is list or kind is tuple:
+            inner = newline + "  "
+            sep = "[" + inner
+            for v in value:
+                emit(sep)
+                walk(v, inner)
+                sep = "," + inner
+            emit(newline + "]" if value else "[]")
+        elif kind is bool:
+            emit("true" if value else "false")
+        elif kind is int:
+            emit(str(value))
+        elif value is None:
+            emit("null")
+        else:
+            emit(encode_basestring_ascii(str(value)))
+
+    walk(value, "\n")
+    return "".join(parts)
 
 
 def _to_text(value: Any, prefix: str = "") -> list[str]:
@@ -240,31 +258,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="evaluate the squared-diameter identity",
-    )
-    p.add_argument("values", help="sides, or arc degrees when --radius is given")
-    p.add_argument("--radius", type=float, default=None, help="treat values as arc degrees on this radius")
+    def command(name: str, summary: str, values: str | None = None) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        if values is not None:
+            p.add_argument("values", help=values)
+        return p
 
-    p = sub.add_parser("solve", parents=[common], help="diameter from side lengths")
-    p.add_argument("values", help="comma-separated side lengths (at least 2)")
-
-    p = sub.add_parser(
+    sides_or_arcs = "sides, or arc degrees when --radius is given"
+    radius_help = "treat values as arc degrees on this radius"
+    p = command("verify", "evaluate the squared-diameter identity", sides_or_arcs)
+    p.add_argument("--radius", type=float, default=None, help=radius_help)
+    command("solve", "diameter from side lengths", "comma-separated side lengths (at least 2)")
+    command(
         "construct",
-        parents=[common],
-        help="incongruent inscribed quadrilaterals from 3 sides",
+        "incongruent inscribed quadrilaterals from 3 sides",
+        "comma-separated side lengths (exactly 3)",
     )
-    p.add_argument("values", help="comma-separated side lengths (exactly 3)")
+    command("counterexample", "check the built-in non-inscribable quadrilateral")
 
-    sub.add_parser(
-        "counterexample",
-        parents=[common],
-        help="check the built-in non-inscribable quadrilateral",
-    )
-
-    p = sub.add_parser("fuzz", parents=[common], help="seeded randomized verification")
+    p = command("fuzz", "seeded randomized verification")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--n-min", type=int, default=3, dest="n_min")
@@ -273,18 +285,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius-max", type=float, default=50.0, dest="radius_max")
     p.add_argument("--tolerance", type=float, default=1e-9)
 
-    p = sub.add_parser("render", parents=[common], help="write an SVG diagram")
-    p.add_argument("values", help="sides, or arc degrees when --radius is given")
-    p.add_argument("--radius", type=float, default=None, help="treat values as arc degrees on this radius")
+    p = command("render", "write an SVG diagram", sides_or_arcs)
+    p.add_argument("--radius", type=float, default=None, help=radius_help)
     p.add_argument("--out", required=True, help="output SVG path")
 
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser for every ``main`` call: ``parse_args`` never mutates it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result = _HANDLERS[args.command](args)
+        # Rendered here so a nan or inf in the payload is a domain error.
+        output = _render_result(result, args.format)
     except (SemichordError, IndexError) as exc:
         code = getattr(exc, "code", "index")
         result = CommandResult(
@@ -292,7 +311,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             payload={"code": code, "message": str(exc)},
             human_summary=f"error ({code}): {exc}",
         )
-    print(_render_result(result, args.format))
+        output = _render_result(result, args.format)
+    print(output)
     return 0 if result.status == "ok" else 1
 
 

@@ -62,11 +62,11 @@ def diameter_cubic(a: float, b: float, c: float) -> float:
     descent shared with :func:`~semichord.solver.solve_diameter`
     falls onto the root from there.  Closed-form resolution is avoided
     on purpose: the three-real-root case needs trigonometric branches.
-    Raises :class:`DomainError` when d is not a finite float, as when
-    it overflows.
+    Raises :class:`DomainError` for a side that is not positive and
+    finite, and when d is not a finite float, as when it overflows.
     """
-    if a <= 0.0 or b <= 0.0 or c <= 0.0:
-        raise DomainError("all three sides must be strictly positive")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < c < math.inf):
+        raise DomainError("all three sides must be positive and finite")
     m = max(a, b, c)
     ca, cb, cc = a / m, b / m, c / m
     s = ca * ca + cb * cb + cc * cc

@@ -141,14 +141,15 @@ def solve_diameter(sides) -> DiameterSolution:
 
     Monotone Newton on t = max(sides) / d from the identity's bound
     t0 = max(sides) / sqrt(sum(a^2)) (see the module docstring), then
-    the bracket is certified around d.  Raises :class:`DomainError` when
-    the diameter is not a finite float, as when it overflows.
+    the bracket is certified around d.  Raises :class:`DomainError` for a
+    side that is not positive and finite, and when the diameter is not a
+    finite float, as when it overflows.
     """
     sides = tuple(float(s) for s in sides)
     if len(sides) < 2:
         raise DomainError("need at least 2 sides to form a polygon on the semicircle")
-    if any(s <= 0.0 for s in sides):
-        raise DomainError("all sides must be strictly positive")
+    if not all(0.0 < s < math.inf for s in sides):
+        raise DomainError("all sides must be positive and finite")
     m = max(sides)
     ratios = [a / m for a in sides]
 

@@ -2,8 +2,10 @@
 
 Range guards are negated comparisons, so a nan fails them; radii and the
 fuzz tolerance, where inf would still pass a comparison, also go through
-one shared finiteness check.  On the command line such input exits 1
-with an error code and prints no ``nan`` or ``inf`` token.
+one shared finiteness check, and the solvers bound their sides on both
+sides (``0 < s < inf``).  On the command line such input exits 1 with an
+error code and prints no ``nan`` or ``inf`` token; so does a payload
+that would carry one.
 """
 
 import json
@@ -20,11 +22,14 @@ from semichord import (
     InscribedPolygon,
     InvalidAnglesError,
     chord_from_angle,
+    diameter_cubic,
     rhs_hexagon,
     rhs_pentagon,
     rhs_quadrilateral,
+    solve_diameter,
     vertices_from_angles,
 )
+from semichord import cli
 from semichord.cli import main
 
 NAN = math.nan
@@ -120,6 +125,25 @@ class TestClosedForms:
             rhs_hexagon(*args)
 
 
+class TestSolverSides:
+    @pytest.mark.parametrize(
+        "sides", [[NAN, 1.0], [INF, 1.0], [1.0, -INF], [1.0, 1.0, NAN], [NAN, NAN]]
+    )
+    def test_solve_diameter_rejects_non_finite_side(self, sides):
+        with pytest.raises(DomainError) as info:
+            solve_diameter(sides)
+        assert not NONFINITE_TOKEN.search(str(info.value))
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    def test_diameter_cubic_rejects_non_finite_side(self, position, bad):
+        sides = [1.0, 2.0, 3.0]
+        sides[position] = bad
+        with pytest.raises(DomainError) as info:
+            diameter_cubic(*sides)
+        assert not NONFINITE_TOKEN.search(str(info.value))
+
+
 class TestFuzzConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -147,6 +171,11 @@ class TestCli:
             (["fuzz", "--trials", "2", "--tolerance", "nan"], "domain"),
             (["fuzz", "--trials", "2", "--tolerance", "inf"], "domain"),
             (["fuzz", "--trials", "2", "--radius-max", "inf"], "domain"),
+            (["solve", "nan,1"], "domain"),
+            (["solve", "inf,1"], "domain"),
+            (["verify", "nan,1"], "domain"),
+            (["construct", "inf,1,1"], "domain"),
+            (["construct", "1,nan,1"], "domain"),
         ],
     )
     @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -165,3 +194,33 @@ class TestCli:
         else:
             assert f"payload.code = {code}" in out.splitlines()
         assert not (tmp_path / "d.svg").exists()
+
+
+class TestFinitePayload:
+    """A handler's payload holding nan or inf never prints as ``status: ok``."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"d": NAN},
+            {"d": 1.0, "nested": {"values": [2.0, INF]}},
+            {"pairs": [(1.0, -INF)]},
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_non_finite_payload_is_a_domain_error(
+        self, payload, fmt, capsys, monkeypatch
+    ):
+        monkeypatch.setitem(
+            cli._HANDLERS, "counterexample", lambda args: cli._ok(payload, "forced")
+        )
+        status = main(["counterexample", "--format", fmt])
+        out = capsys.readouterr().out
+        assert status == 1
+        assert not NONFINITE_TOKEN.search(out), out
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["status"] == "error"
+            assert doc["payload"]["code"] == "domain"
+        else:
+            assert "payload.code = domain" in out.splitlines()
