@@ -19,14 +19,10 @@ from typing import Any, Sequence
 
 from .errors import DomainError, ParseError, SemichordError, WriteError
 from .fuzz import FuzzConfig, run_fuzz
-from .geometry import (
-    CentralAngles,
-    InscribedPolygon,
-    diagonal,
-    vertices_from_angles,
-)
+from .geometry import CentralAngles, InscribedPolygon, diagonal, vertices_from_angles
 from .identity import evaluate_general
-from .quads import counterexample_report, diameter_cubic, enumerate_incongruent_quads
+from .quads import counterexample_report, enumerate_incongruent_quads
+from .quads import diameter_cubic  # noqa: F401  (rebound here by bench/spans.py)
 from .solver import inscribe_from_sides, solve_diameter
 from .svg import polygon_svg
 
@@ -85,8 +81,8 @@ def _cmd_construct(args: argparse.Namespace) -> CommandResult:
     values = _parse_values(args.values)
     if len(values) != 3:
         raise ParseError(f"construct needs exactly 3 sides, got {len(values)}")
-    d = diameter_cubic(*values)
     arrangements = enumerate_incongruent_quads(*values)
+    d = arrangements[0].d
     payload = {
         "d": d,
         "count": len(arrangements),

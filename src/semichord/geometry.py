@@ -135,7 +135,7 @@ def chord_from_angle(arc: float, radius: float) -> float:
         raise DomainError("radius must be positive")
     require_finite(radius, "radius")
     if not 0.0 <= arc <= math.pi:
-        raise DomainError(f"arc must lie in [0, pi], got {arc!r}")
+        raise DomainError("arc must lie in [0, pi]")
     return 2.0 * radius * math.sin(0.5 * arc)
 
 

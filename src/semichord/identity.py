@@ -50,8 +50,8 @@ class IdentityReport:
 
 def _require_non_negative(**lengths: float) -> None:
     for name, value in lengths.items():
-        if not value >= 0.0:
-            raise DomainError(f"{name} must be non-negative, got {value!r}")
+        if not 0.0 <= value < math.inf:
+            raise DomainError(f"{name} must be non-negative and finite")
 
 
 def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
@@ -60,8 +60,8 @@ def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
     Symmetric in (a, b, c).  With any short side zero this collapses to
     the right-triangle sum of two squares.
     """
-    if not d > 0.0:
-        raise DomainError(f"diameter must be positive, got {d!r}")
+    if not 0.0 < d < math.inf:
+        raise DomainError("diameter must be positive and finite")
     _require_non_negative(a=a, b=b, c=c)
     return a * a + b * b + c * c + 2.0 * a * b * c / d
 
@@ -90,8 +90,8 @@ def rhs_pentagon(
     chord from the third to the last.  All four squared short sides
     appear in the sum; the cross terms are (a*b*y + x*c*d)/R.
     """
-    if not R > 0.0:
-        raise DomainError(f"radius must be positive, got {R!r}")
+    if not 0.0 < R < math.inf:
+        raise DomainError("radius must be positive and finite")
     _require_non_negative(a=a, b=b, c=c, d=d, x=x, y=y)
     return a * a + b * b + c * c + d * d + (a * b * y + x * c * d) / R
 
@@ -113,8 +113,8 @@ def rhs_hexagon(
     Diagonals: ``y`` joins vertices 1-3, ``u`` joins 1-4, ``z`` joins
     3-6, ``x`` joins 4-6.  Cross terms are (a*b*z + y*c*x + u*d*e)/R.
     """
-    if not R > 0.0:
-        raise DomainError(f"radius must be positive, got {R!r}")
+    if not 0.0 < R < math.inf:
+        raise DomainError("radius must be positive and finite")
     _require_non_negative(a=a, b=b, c=c, d=d, e=e, x=x, y=y, z=z, u=u)
     return a * a + b * b + c * c + d * d + e * e + (a * b * z + y * c * x + u * d * e) / R
 

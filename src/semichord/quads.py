@@ -19,17 +19,13 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import DomainError, PlacementError
-from .geometry import CentralAngles, InscribedPolygon, diagonal, vertices_from_angles
+from .geometry import CentralAngles, InscribedPolygon, chord_from_angle, vertices_from_angles
+from .geometry import diagonal  # noqa: F401  (rebound here by bench/spans.py)
 from .identity import rhs_quadrilateral
 from .solver import _newton_descent, arcs_from_sides
 
 #: Slack (radians) before two chords count as overshooting the half turn.
 _PLACEMENT_SLACK = 1e-12
-
-#: Arrangements whose sorted diagonal pairs agree to this fraction of d
-#: are congruent: the side multisets already match by construction, so
-#: diagonals are the distinguishing invariant.
-_CONGRUENCE_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,11 +82,11 @@ def closing_side(a: float, b: float, d: float) -> float:
     """Fourth side of the inscribed quadrilateral with sides a, b on d.
 
     Walks two chords of lengths a and b along the semicircle of
-    diameter d and measures the straight-line gap from the end of the
-    second chord back to the far diameter endpoint.
+    diameter d; the fourth side is the chord of the arc left over,
+    from the end of the second chord to the far diameter endpoint.
     """
-    if d <= 0.0:
-        raise DomainError(f"diameter must be positive, got {d!r}")
+    if not 0.0 < d < math.inf:
+        raise DomainError("diameter must be positive and finite")
     if not 0.0 < a < d or not 0.0 < b < d:
         raise DomainError("chords must be positive and shorter than the diameter")
     arc_a = 2.0 * math.asin(a / d)
@@ -102,35 +98,27 @@ def closing_side(a: float, b: float, d: float) -> float:
                 f"chords {a!r} and {b!r} overshoot the semicircle of diameter {d!r}"
             )
         remaining = 0.0
-    radius = 0.5 * d
-    cx = radius * math.cos(remaining)
-    cy = radius * math.sin(remaining)
-    return math.hypot(radius - cx, cy)
+    return chord_from_angle(remaining, 0.5 * d)
 
 
 def enumerate_incongruent_quads(a: float, b: float, c: float) -> list[QuadArrangement]:
     """All incongruent inscribed quadrilaterals with short sides a, b, c.
 
-    Every ordering shares the diameter from :func:`diameter_cubic`; a
-    mirrored ordering gives a congruent figure, so orderings collapse
-    to 3 arrangements for pairwise-distinct sides, 2 with one repeat,
-    and 1 when all three agree.
+    Every ordering shares the diameter from :func:`diameter_cubic`.  Each
+    short side subtends an arc below pi, so it is shorter than d, and an
+    isometry between two such figures maps the diameter onto itself: it
+    is the identity or the mirror that reverses the short sides.  The
+    incongruent arrangements are therefore exactly the orderings up to
+    reversal, each kept as the lesser of itself and its reverse, and
+    their count is the number of distinct sides: 3, 2 or 1.
     """
     d = diameter_cubic(a, b, c)
     radius = 0.5 * d
     arrangements: list[QuadArrangement] = []
-    kept_diagonals: list[tuple[float, float]] = []
     for order in sorted(set(permutations((float(a), float(b), float(c))))):
-        arcs = arcs_from_sides(order, d)
-        poly = vertices_from_angles(CentralAngles(arcs), radius)
-        pair = tuple(sorted((diagonal(poly, 0, 2), diagonal(poly, 1, 3))))
-        if any(
-            abs(pair[0] - seen[0]) <= _CONGRUENCE_TOL * d
-            and abs(pair[1] - seen[1]) <= _CONGRUENCE_TOL * d
-            for seen in kept_diagonals
-        ):
+        if order > order[::-1]:
             continue
-        kept_diagonals.append(pair)
+        poly = vertices_from_angles(CentralAngles(arcs_from_sides(order, d)), radius)
         arrangements.append(
             QuadArrangement(
                 ordered_sides=order, d=d, polygon=poly, middle_side=order[1]

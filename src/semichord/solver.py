@@ -81,11 +81,11 @@ def arc_sum(d: float, sides) -> float:
     sides = tuple(float(s) for s in sides)
     if not sides:
         raise DomainError("need at least one side")
-    if d <= 0.0:
-        raise DomainError(f"diameter must be positive, got {d!r}")
+    if not 0.0 < d < math.inf:
+        raise DomainError("diameter must be positive and finite")
     for a in sides:
-        if a < 0.0:
-            raise DomainError(f"sides must be non-negative, got {a!r}")
+        if not 0.0 <= a < math.inf:
+            raise DomainError("sides must be non-negative and finite")
     return _arc_total(d, sides)
 
 
@@ -187,6 +187,10 @@ def arcs_from_sides(sides, d: float) -> list[float]:
     well-conditioned rounding.
     """
     sides = tuple(float(s) for s in sides)
+    if not sides:
+        raise DomainError("need at least one side")
+    if not 0.0 < d < math.inf:
+        raise DomainError("diameter must be positive and finite")
     arcs = [2.0 * math.asin(_ratio(a, d)) for a in sides]
     widest = max(range(len(sides)), key=lambda i: sides[i])
     arcs[widest] = math.pi - math.fsum(

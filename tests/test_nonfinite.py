@@ -2,8 +2,8 @@
 
 Range guards are negated comparisons, so a nan fails them; radii and the
 fuzz tolerance, where inf would still pass a comparison, also go through
-one shared finiteness check, and the solvers bound their sides on both
-sides (``0 < s < inf``).  On the command line such input exits 1 with an
+one shared finiteness check, and the solvers and their helpers bound
+sides and diameters on both sides (``0 < s < inf``).  On the command line such input exits 1 with an
 error code and prints no ``nan`` or ``inf`` token; so does a payload
 that would carry one.
 """
@@ -21,7 +21,10 @@ from semichord import (
     FuzzConfig,
     InscribedPolygon,
     InvalidAnglesError,
+    arc_sum,
+    arcs_from_sides,
     chord_from_angle,
+    closing_side,
     diameter_cubic,
     rhs_hexagon,
     rhs_pentagon,
@@ -91,6 +94,12 @@ class TestRadiusArguments:
         with pytest.raises(DomainError):
             chord_from_angle(HALF, radius)
 
+    @pytest.mark.parametrize("arc", [NAN, INF])
+    def test_chord_from_angle_rejects_non_finite_arc(self, arc):
+        with pytest.raises(DomainError) as info:
+            chord_from_angle(arc, 1.0)
+        assert not NONFINITE_TOKEN.search(str(info.value))
+
 
 class TestChordSet:
     @pytest.mark.parametrize(
@@ -124,6 +133,35 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             rhs_hexagon(*args)
 
+    @pytest.mark.parametrize(
+        "args", [(INF, 1.0, 1.0, 2.0), (1.0, 1.0, -INF, 2.0), (1.0, 1.0, 1.0, INF)]
+    )
+    def test_quadrilateral_rejects_inf(self, args):
+        with pytest.raises(DomainError) as info:
+            rhs_quadrilateral(*args)
+        assert not NONFINITE_TOKEN.search(str(info.value))
+
+    @pytest.mark.parametrize("position", range(7))
+    def test_pentagon_rejects_inf(self, position):
+        args = [1.0] * 7
+        args[position] = INF
+        with pytest.raises(DomainError) as info:
+            rhs_pentagon(*args)
+        assert not NONFINITE_TOKEN.search(str(info.value))
+
+    @pytest.mark.parametrize("position", range(10))
+    def test_hexagon_rejects_inf(self, position):
+        args = [1.0] * 10
+        args[position] = INF
+        with pytest.raises(DomainError) as info:
+            rhs_hexagon(*args)
+        assert not NONFINITE_TOKEN.search(str(info.value))
+
+    def test_message_names_no_nan(self):
+        with pytest.raises(DomainError) as info:
+            rhs_quadrilateral(NAN, 1.0, 1.0, 2.0)
+        assert not NONFINITE_TOKEN.search(str(info.value))
+
 
 class TestSolverSides:
     @pytest.mark.parametrize(
@@ -141,6 +179,38 @@ class TestSolverSides:
         sides[position] = bad
         with pytest.raises(DomainError) as info:
             diameter_cubic(*sides)
+        assert not NONFINITE_TOKEN.search(str(info.value))
+
+
+class TestSolverHelpers:
+    @pytest.mark.parametrize(
+        "d, sides",
+        [
+            (NAN, [1.0]),
+            (INF, [1.0]),
+            (-INF, [1.0]),
+            (1.0, [NAN]),
+            (1.0, [0.5, INF]),
+            (2.0, []),
+        ],
+    )
+    def test_arc_sum_rejects(self, d, sides):
+        with pytest.raises(DomainError) as info:
+            arc_sum(d, sides)
+        assert not NONFINITE_TOKEN.search(str(info.value))
+
+    @pytest.mark.parametrize(
+        "sides, d", [([1.0, 1.0], NAN), ([1.0, 1.0], INF), ([1.0, 1.0], 0.0), ([], 2.0)]
+    )
+    def test_arcs_from_sides_rejects(self, sides, d):
+        with pytest.raises(DomainError) as info:
+            arcs_from_sides(sides, d)
+        assert not NONFINITE_TOKEN.search(str(info.value))
+
+    @pytest.mark.parametrize("d", [NAN, INF, -INF])
+    def test_closing_side_rejects_non_finite_diameter(self, d):
+        with pytest.raises(DomainError) as info:
+            closing_side(1.0, 1.0, d)
         assert not NONFINITE_TOKEN.search(str(info.value))
 
 

@@ -1,6 +1,8 @@
 """Tests for quadrilateral construction and the built-in counterexample."""
 
+import json
 import math
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from semichord import (
     side_lengths,
     solve_diameter,
 )
+from semichord import cli, quads
+from semichord.cli import main
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -42,6 +46,9 @@ def _cubic_root_oracle(a, b, c):
 
 
 positive_sides = st.floats(min_value=1e-2, max_value=1e2)
+
+#: Distinct from 1.0, but within any float tolerance on a diagonal.
+NEAR_ONE = 1.0 + 1e-9
 
 
 class TestDiameterCubic:
@@ -96,7 +103,15 @@ class TestClosingSide:
             closing_side(4.9, 4.9, 5.0)
 
     @pytest.mark.parametrize(
-        "a,b,d", [(5.0, 1.0, 5.0), (1.0, 5.0, 5.0), (0.0, 1.0, 5.0), (1.0, 1.0, 0.0)]
+        "a,b,d",
+        [
+            (5.0, 1.0, 5.0),
+            (1.0, 5.0, 5.0),
+            (0.0, 1.0, 5.0),
+            (1.0, 1.0, 0.0),
+            (1.0, 1.0, math.inf),
+            (1.0, 1.0, math.nan),
+        ],
     )
     def test_domain_errors(self, a, b, d):
         with pytest.raises(DomainError):
@@ -172,6 +187,25 @@ class TestEnumerateIncongruentQuads:
         with pytest.raises(DomainError):
             enumerate_incongruent_quads(1.0, 0.0, 2.0)
 
+    def test_near_tie_keeps_every_arrangement(self):
+        arrangements = enumerate_incongruent_quads(1.0, NEAR_ONE, 2.0)
+        assert len(arrangements) == 3
+        assert {arr.middle_side for arr in arrangements} == {1.0, NEAR_ONE, 2.0}
+
+    @given(
+        st.lists(
+            st.sampled_from([0.5, 1.0, math.nextafter(1.0, 2.0), NEAR_ONE, 2.0]),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_orderings_up_to_reversal(self, triple):
+        arrangements = enumerate_incongruent_quads(*triple)
+        assert len(arrangements) == len(set(triple))
+        kept = {arr.ordered_sides for arr in arrangements}
+        assert kept | {order[::-1] for order in kept} == set(permutations(triple))
+
     @given(a=positive_sides, b=positive_sides, c=positive_sides)
     @settings(max_examples=100, deadline=None)
     def test_shared_diameter_and_valid_polygons(self, a, b, c):
@@ -184,6 +218,27 @@ class TestEnumerateIncongruentQuads:
             measured = side_lengths(arr.polygon)
             for want, got in zip(arr.ordered_sides, measured):
                 assert abs(want - got) <= 1e-10 * reference
+
+
+class TestConstructCommand:
+    def test_near_tie_counts_three(self, capsys):
+        assert main(["construct", "1,1.000000001,2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["payload"]["count"] == 3
+        middles = {arr["middle_side"] for arr in doc["payload"]["arrangements"]}
+        assert middles == {1.0, NEAR_ONE, 2.0}
+
+    def test_solves_the_cubic_once(self, monkeypatch):
+        calls = []
+
+        def counting(*sides):
+            calls.append(sides)
+            return diameter_cubic(*sides)
+
+        monkeypatch.setattr(quads, "diameter_cubic", counting)
+        monkeypatch.setattr(cli, "diameter_cubic", counting, raising=False)
+        assert main(["construct", "3,4,5"]) == 0
+        assert calls == [(3.0, 4.0, 5.0)]
 
 
 class TestCounterexampleReport:
