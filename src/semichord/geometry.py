@@ -30,7 +30,7 @@ class CentralAngles:
     arcs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple(float(a) for a in self.arcs))
+        object.__setattr__(self, "arcs", tuple(map(float, self.arcs)))
         if len(self.arcs) < 2:
             raise InvalidAnglesError("need at least 2 arcs (3 vertices)")
         if any(a < 0.0 for a in self.arcs):

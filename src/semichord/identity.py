@@ -48,8 +48,9 @@ class IdentityReport:
     residual_rel: float
 
 
-def _require_non_negative(**lengths: float) -> None:
-    for name, value in lengths.items():
+def _require_non_negative(names: str, *values: float) -> None:
+    """Raise for the first value not in [0, inf), named by its letter."""
+    for name, value in zip(names, values):
         if not 0.0 <= value < math.inf:
             raise DomainError(f"{name} must be non-negative and finite")
 
@@ -62,7 +63,9 @@ def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
     """
     if not 0.0 < d < math.inf:
         raise DomainError("diameter must be positive and finite")
-    _require_non_negative(a=a, b=b, c=c)
+    # Checked inline: run_fuzz reaches this once per nested quadrilateral.
+    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf and 0.0 <= c < math.inf):
+        _require_non_negative("abc", a, b, c)
     return a * a + b * b + c * c + 2.0 * a * b * c / d
 
 
@@ -92,7 +95,7 @@ def rhs_pentagon(
     """
     if not 0.0 < R < math.inf:
         raise DomainError("radius must be positive and finite")
-    _require_non_negative(a=a, b=b, c=c, d=d, x=x, y=y)
+    _require_non_negative("abcdxy", a, b, c, d, x, y)
     return a * a + b * b + c * c + d * d + (a * b * y + x * c * d) / R
 
 
@@ -115,7 +118,7 @@ def rhs_hexagon(
     """
     if not 0.0 < R < math.inf:
         raise DomainError("radius must be positive and finite")
-    _require_non_negative(a=a, b=b, c=c, d=d, e=e, x=x, y=y, z=z, u=u)
+    _require_non_negative("abcdexyzu", a, b, c, d, e, x, y, z, u)
     return a * a + b * b + c * c + d * d + e * e + (a * b * z + y * c * x + u * d * e) / R
 
 

@@ -52,12 +52,14 @@ def diameter_cubic(a: float, b: float, c: float) -> float:
     """Unique positive root of d^3 - (a^2+b^2+c^2) d - 2abc.
 
     Scale-free: with m = max(a, b, c) and u = d / m, the cubic
-    u^3 - (sum of squared ratios) u - 2 (product of ratios) is
-    increasing and convex for u >= 1, where the root lies, and
-    u0 = (a + b + c) / m lies right of it, so the monotone Newton
-    descent shared with :func:`~semichord.solver.solve_diameter`
-    falls onto the root from there.  Closed-form resolution is avoided
-    on purpose: the three-real-root case needs trigonometric branches.
+    u^3 - s u - p, with s the sum of squared ratios and p twice their
+    product, is increasing and convex for u >= sqrt(s), where the root
+    lies.  The root satisfies u*^2 = s + p / u* and u* >= sqrt(s), so
+    u0 = sqrt(s + p / sqrt(s)) lies right of it, and the monotone Newton
+    descent shared with :func:`~semichord.solver.solve_diameter` falls
+    onto the root from there (a u0 that rounding puts just left of the
+    root is returned at once).  Closed-form resolution is avoided on
+    purpose: the three-real-root case needs trigonometric branches.
     Raises :class:`DomainError` for a side that is not positive and
     finite, and when d is not a finite float, as when it overflows.
     """
@@ -71,7 +73,7 @@ def diameter_cubic(a: float, b: float, c: float) -> float:
     def h(u: float) -> tuple[float, float]:
         return (u * u - s) * u - p, 3.0 * u * u - s
 
-    u, _, _ = _newton_descent(h, ca + cb + cc, 1.0)
+    u, _, _ = _newton_descent(h, math.sqrt(s + p / math.sqrt(s)), 1.0)
     d = m * u
     if not math.isfinite(d):
         raise DomainError(f"sides {(a, b, c)!r} have no finite diameter")

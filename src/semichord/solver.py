@@ -12,12 +12,21 @@ the largest side and c_i = a_i / m it solves
 
     g(t) = sum_i 2*asin(c_i t) - pi = 0    for t = m / d,
 
-where g is increasing and convex on [0, 1].  The squared-diameter
-identity gives d^2 = sum a_i^2 + (positive cross terms), so
-t0 = 1 / sqrt(sum c_i^2) lies right of the root, and Newton's method
-from there falls monotonically onto it without a bracketing phase.  The
-returned bracket is then certified in :func:`arc_sum`'s own arithmetic
-by stepping outward from d until the arc sum crosses pi.
+where g is increasing and convex on [0, 1].  Two bounds put the root
+t* at or left of
+
+    t0 = min(1 / sqrt(sum c_i^2), pi / (2 sum c_i)):
+
+the squared-diameter identity gives d^2 = sum a_i^2 + (positive cross
+terms), so t* <= 1 / sqrt(sum c_i^2); and asin x >= x on [0, 1], so
+g(t) >= 2 t sum c_i - pi and t* <= pi / (2 sum c_i).  The first bound
+is the tighter one for few uneven sides, the second for many sides.
+Newton's method from t0 falls monotonically onto the root without a
+bracketing phase.  Where a bound is exact, as for two sides, rounding
+may put t0 just left of the root; it is then returned at once, as
+accurate as that rounding.  The returned bracket is then certified in
+:func:`arc_sum`'s own arithmetic by stepping outward from d until the
+arc sum crosses pi.
 """
 
 from __future__ import annotations
@@ -54,7 +63,13 @@ class DiameterSolution:
 
 
 def _ratio(a: float, d: float) -> float:
-    """a/d, with floating-point noise above 1 clamped to exactly 1."""
+    """a/d for a positive finite side, with noise above 1 clamped to 1.
+
+    Only ratios the callers cannot pass inline come here: a side above
+    d, or one that :func:`arcs_from_sides` has yet to check.
+    """
+    if not 0.0 < a < math.inf:
+        raise DomainError("sides must be positive and finite")
     ratio = a / d
     if ratio > 1.0:
         if ratio > 1.0 + _CLAMP_SLACK:
@@ -67,7 +82,8 @@ def _arc_total(d: float, sides: tuple[float, ...]) -> float:
     """arc_sum without input validation; bit-identical to it."""
     total = 0.0
     for a in sides:
-        total += math.asin(_ratio(a, d))
+        # a <= d keeps a / d <= 1, where _ratio would not clamp it.
+        total += math.asin(a / d if a <= d else _ratio(a, d))
     return 2.0 * total
 
 
@@ -78,7 +94,7 @@ def arc_sum(d: float, sides) -> float:
     Ratios a/d infinitesimally above 1 (floating-point noise) are
     clamped; anything beyond the slack is a domain error.
     """
-    sides = tuple(float(s) for s in sides)
+    sides = tuple(map(float, sides))
     if not sides:
         raise DomainError("need at least one side")
     if not 0.0 < d < math.inf:
@@ -139,13 +155,14 @@ def _bracket_end(sides: tuple[float, ...], d: float, sign: float) -> float:
 def solve_diameter(sides) -> DiameterSolution:
     """Find the unique diameter on which the sides fill a semicircle.
 
-    Monotone Newton on t = max(sides) / d from the identity's bound
-    t0 = max(sides) / sqrt(sum(a^2)) (see the module docstring), then
-    the bracket is certified around d.  Raises :class:`DomainError` for a
+    Monotone Newton on t = max(sides) / d from the smaller of two upper
+    bounds on the root, max(sides) / sqrt(sum(a^2)) and
+    pi * max(sides) / (2 sum(a)) (see the module docstring), then the
+    bracket is certified around d.  Raises :class:`DomainError` for a
     side that is not positive and finite, and when the diameter is not a
     finite float, as when it overflows.
     """
-    sides = tuple(float(s) for s in sides)
+    sides = tuple(map(float, sides))
     if len(sides) < 2:
         raise DomainError("need at least 2 sides to form a polygon on the semicircle")
     if not all(0.0 < s < math.inf for s in sides):
@@ -162,8 +179,11 @@ def solve_diameter(sides) -> DiameterSolution:
             slope += c / math.sqrt(gap) if gap > 0.0 else math.inf
         return 2.0 * total - math.pi, 2.0 * slope
 
-    t0 = 1.0 / math.sqrt(math.fsum(c * c for c in ratios))
-    t, residual, steps = _newton_descent(g, t0, 1.0 / math.fsum(ratios))
+    ratio_sum = math.fsum(ratios)
+    t0 = min(
+        1.0 / math.sqrt(math.fsum(c * c for c in ratios)), 0.5 * math.pi / ratio_sum
+    )
+    t, residual, steps = _newton_descent(g, t0, 1.0 / ratio_sum)
     d = m / t
     if not math.isfinite(d):
         raise DomainError(f"sides {sides!r} have no finite diameter")
@@ -184,18 +204,22 @@ def arcs_from_sides(sides, d: float) -> list[float]:
     The largest side's angle is taken as the half-turn complement of
     the others: its ratio to d can sit so close to 1 that asin loses
     several digits, while the complement inherits only the others'
-    well-conditioned rounding.
+    well-conditioned rounding.  Raises :class:`DomainError` for a side
+    that is not positive and finite, or longer than d beyond the clamp.
     """
-    sides = tuple(float(s) for s in sides)
+    sides = tuple(map(float, sides))
     if not sides:
         raise DomainError("need at least one side")
     if not 0.0 < d < math.inf:
         raise DomainError("diameter must be positive and finite")
-    arcs = [2.0 * math.asin(_ratio(a, d)) for a in sides]
-    widest = max(range(len(sides)), key=lambda i: sides[i])
-    arcs[widest] = math.pi - math.fsum(
-        arc for i, arc in enumerate(arcs) if i != widest
-    )
+    # A valid side has 0 < a <= d but for clamp noise; _ratio checks the rest.
+    arcs = [
+        2.0 * math.asin(a / d if 0.0 < a <= d else _ratio(a, d)) for a in sides
+    ]
+    widest = sides.index(max(sides))
+    # fsum is correctly rounded, so the zeroed entry leaves the sum exact.
+    arcs[widest] = 0.0
+    arcs[widest] = math.pi - math.fsum(arcs)
     return arcs
 
 

@@ -157,6 +157,30 @@ class TestClosedForms:
             rhs_hexagon(*args)
         assert not NONFINITE_TOKEN.search(str(info.value))
 
+    @pytest.mark.parametrize(
+        "function, names",
+        [
+            (rhs_quadrilateral, "abc_"),
+            (rhs_pentagon, "abcd_xy"),
+            (rhs_hexagon, "abcde_xyzu"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [NAN, INF, -1.0])
+    def test_message_names_the_first_bad_length(self, function, names, bad):
+        # "_" marks the diameter or radius, which has its own check.  The
+        # bad value goes at one length alone, then at it and every later one.
+        for first, name in enumerate(names):
+            if name == "_":
+                continue
+            for last in (first, len(names) - 1):
+                args = [
+                    bad if first <= k <= last and n != "_" else 1.0
+                    for k, n in enumerate(names)
+                ]
+                with pytest.raises(DomainError) as info:
+                    function(*args)
+                assert str(info.value) == f"{name} must be non-negative and finite"
+
     def test_message_names_no_nan(self):
         with pytest.raises(DomainError) as info:
             rhs_quadrilateral(NAN, 1.0, 1.0, 2.0)
@@ -200,12 +224,30 @@ class TestSolverHelpers:
         assert not NONFINITE_TOKEN.search(str(info.value))
 
     @pytest.mark.parametrize(
-        "sides, d", [([1.0, 1.0], NAN), ([1.0, 1.0], INF), ([1.0, 1.0], 0.0), ([], 2.0)]
+        "sides, d",
+        [
+            ([1.0, 1.0], NAN),
+            ([1.0, 1.0], INF),
+            ([1.0, 1.0], 0.0),
+            ([], 2.0),
+            ([NAN, 1.0], 2.0),
+            ([1.0, NAN], 2.0),
+            ([INF, 1.0], 2.0),
+            ([1.0, -INF], 2.0),
+            ([-1.0, 1.0], 2.0),
+            ([1.0, 0.0], 2.0),
+        ],
     )
     def test_arcs_from_sides_rejects(self, sides, d):
         with pytest.raises(DomainError) as info:
             arcs_from_sides(sides, d)
         assert not NONFINITE_TOKEN.search(str(info.value))
+
+    @pytest.mark.parametrize("sides", [[NAN, 1.0], [1.0, INF], [-1.0, 1.0]])
+    def test_arcs_from_sides_side_message_names_no_value(self, sides):
+        with pytest.raises(DomainError) as info:
+            arcs_from_sides(sides, 2.0)
+        assert str(info.value) == "sides must be positive and finite"
 
     @pytest.mark.parametrize("d", [NAN, INF, -INF])
     def test_closing_side_rejects_non_finite_diameter(self, d):

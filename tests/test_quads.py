@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -84,6 +85,22 @@ class TestDiameterCubic:
     def test_matches_oracle_everywhere(self, a, b, c):
         root = diameter_cubic(a, b, c)
         assert abs(root - _cubic_root_oracle(a, b, c)) <= 1e-12 * root
+
+    @given(
+        a=st.floats(min_value=1e-6, max_value=1e2),
+        b=st.floats(min_value=1e-6, max_value=1e2),
+        c=st.floats(min_value=1e-6, max_value=1e2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_root_error_within_two_ulps_exactly(self, a, b, c):
+        # One Newton correction |h(d)| / h'(d), in exact arithmetic, gives
+        # the root's relative error to first order; the worst seen over
+        # 100 000 random triples was about 1.5 * 2^-52.
+        d = Fraction(diameter_cubic(a, b, c))
+        a, b, c = Fraction(a), Fraction(b), Fraction(c)
+        s = a * a + b * b + c * c
+        h = (d * d - s) * d - 2 * a * b * c
+        assert abs(h) / (d * (3 * d * d - s)) <= Fraction(1, 2**51)
 
 
 class TestClosingSide:

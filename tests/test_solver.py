@@ -19,6 +19,7 @@ from semichord import (
     solve_diameter,
     vertices_from_angles,
 )
+from semichord.solver import _arc_total, _ratio
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -160,6 +161,75 @@ class TestSolveDiameter:
         transcendental = solve_diameter(triple).d
         algebraic = diameter_cubic(*triple)
         assert abs(transcendental - algebraic) <= 1e-10 * algebraic
+
+
+class TestNewtonStart:
+    @pytest.mark.parametrize(
+        "sides, expected", [((1.0, 1.0), SQRT2), ((8.0, 15.0), 17.0)]
+    )
+    def test_start_at_the_root_returns_at_once(self, sides, expected):
+        # The start 1/sqrt(sum c^2) is the root itself, and rounding puts it
+        # at or just left of the root, so the descent takes no step.
+        solution = solve_diameter(sides)
+        assert solution.iterations == 0
+        assert abs(solution.d - expected) <= math.ulp(expected)
+        assert arc_sum(solution.bracket_low, sides) >= math.pi
+        assert arc_sum(solution.bracket_high, sides) <= math.pi
+
+
+def _bumped_sides(d, ratios, bumps):
+    """Sides ratio * d, each nudged up by 0-2 ulps so a/d can exceed 1."""
+    sides = []
+    for ratio, bump in zip(ratios, bumps):
+        a = ratio * d
+        for _ in range(bump):
+            a = math.nextafter(a, math.inf)
+        sides.append(a)
+    return sides
+
+
+ratio_sides = st.tuples(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.lists(
+        st.one_of(st.floats(min_value=1e-6, max_value=1.0), st.just(1.0)),
+        min_size=1,
+        max_size=12,
+    ),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=12, max_size=12),
+)
+
+
+class TestRatioKernel:
+    """The inline ratio is bit-identical to clamping every ratio with _ratio."""
+
+    @given(case=ratio_sides)
+    @settings(max_examples=300, deadline=None)
+    def test_arc_total_matches_clamped_reference(self, case):
+        d, ratios, bumps = case
+        sides = _bumped_sides(d, ratios, bumps)
+        reference = 0.0
+        for a in sides:
+            reference += math.asin(_ratio(a, d))
+        assert _arc_total(d, tuple(sides)) == arc_sum(d, sides) == 2.0 * reference
+
+    @given(case=ratio_sides)
+    @settings(max_examples=300, deadline=None)
+    def test_arcs_match_enumerated_complement(self, case):
+        d, ratios, bumps = case
+        sides = _bumped_sides(d, ratios, bumps)
+        reference = [2.0 * math.asin(_ratio(a, d)) for a in sides]
+        widest = max(range(len(sides)), key=lambda i: sides[i])
+        reference[widest] = math.pi - math.fsum(
+            arc for i, arc in enumerate(reference) if i != widest
+        )
+        assert arcs_from_sides(sides, d) == reference
+
+    def test_clamp_path_is_exercised(self):
+        d = 3.0
+        a = math.nextafter(d, math.inf)
+        assert a / d > 1.0
+        assert arcs_from_sides([a], d) == [math.pi]
+        assert arc_sum(d, [a]) == math.pi
 
 
 class TestArcsFromSides:
