@@ -5,17 +5,21 @@ read as arc degrees when --radius is present and as side lengths
 otherwise.  Payloads are emitted as JSON by default (or flat key=value
 text via --format text) with floats printed to 15 significant digits,
 so identical inputs produce byte-identical output.
+
+Each subcommand's parser carries its handler, which returns a payload
+and a one-line summary; ``main`` puts them, or a coded error, into the
+single ``{status, human_summary, payload}`` document it prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import isfinite, radians
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import DomainError, ParseError, SemichordError, WriteError
 from .fuzz import FuzzConfig, run_fuzz
@@ -26,16 +30,8 @@ from .quads import diameter_cubic  # noqa: F401  (rebound here by bench/spans.py
 from .solver import inscribe_from_sides, solve_diameter
 from .svg import polygon_svg
 
-
-@dataclass(frozen=True, slots=True)
-class CommandResult:
-    status: str  # "ok" | "error"
-    payload: dict[str, Any]
-    human_summary: str
-
-
-def _ok(payload: dict[str, Any], summary: str) -> CommandResult:
-    return CommandResult(status="ok", payload=payload, human_summary=summary)
+#: What every handler returns: its payload and a one-line human summary.
+_Result = tuple[dict[str, Any], str]
 
 
 def _parse_values(text: str) -> list[float]:
@@ -56,28 +52,26 @@ def _polygon_from_args(values: str, radius: float | None) -> InscribedPolygon:
     return inscribe_from_sides(numbers)
 
 
-def _cmd_verify(args: argparse.Namespace) -> CommandResult:
+def _cmd_verify(args: argparse.Namespace) -> _Result:
     poly = _polygon_from_args(args.values, args.radius)
     report = evaluate_general(poly)
-    d = diagonal(poly, 0, poly.n - 1)
-    payload = {"diameter": d, "identity": asdict(report)}
-    return _ok(
-        payload,
+    return (
+        {"diameter": diagonal(poly, 0, poly.n - 1), "identity": asdict(report)},
         f"n={report.n} lhs={report.lhs:.15g} rhs={report.rhs:.15g} "
         f"residual_rel={report.residual_rel:.3e}",
     )
 
 
-def _cmd_solve(args: argparse.Namespace) -> CommandResult:
+def _cmd_solve(args: argparse.Namespace) -> _Result:
     solution = solve_diameter(_parse_values(args.values))
-    return _ok(
+    return (
         asdict(solution),
         f"d={solution.d:.15g} after {solution.iterations} iterations "
         f"(arc-sum residual {solution.arc_sum_residual:.3e})",
     )
 
 
-def _cmd_construct(args: argparse.Namespace) -> CommandResult:
+def _cmd_construct(args: argparse.Namespace) -> _Result:
     values = _parse_values(args.values)
     if len(values) != 3:
         raise ParseError(f"construct needs exactly 3 sides, got {len(values)}")
@@ -99,14 +93,12 @@ def _cmd_construct(args: argparse.Namespace) -> CommandResult:
             for arr in arrangements
         ],
     }
-    return _ok(
-        payload, f"{len(arrangements)} arrangement(s) sharing diameter {d:.15g}"
-    )
+    return payload, f"{len(arrangements)} arrangement(s) sharing diameter {d:.15g}"
 
 
-def _cmd_counterexample(args: argparse.Namespace) -> CommandResult:
+def _cmd_counterexample(args: argparse.Namespace) -> _Result:
     report = counterexample_report()
-    return _ok(
+    return (
         asdict(report),
         f"relation_holds={report.relation_holds} "
         f"off_circle_distance={report.off_circle_distance:.6g} "
@@ -114,26 +106,17 @@ def _cmd_counterexample(args: argparse.Namespace) -> CommandResult:
     )
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> CommandResult:
-    config = FuzzConfig(
-        trials=args.trials,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        radius_min=args.radius_min,
-        radius_max=args.radius_max,
-        seed=args.seed,
-        tolerance_rel=args.tolerance,
-    )
+def _cmd_fuzz(args: argparse.Namespace) -> _Result:
+    config = FuzzConfig(**{f.name: getattr(args, f.name) for f in fields(FuzzConfig)})
     report = run_fuzz(config)
-    payload = asdict(report)
-    return _ok(
-        payload,
+    return (
+        asdict(report),
         f"{report.trials_run} trials, worst residual {report.worst_residual_rel:.3e}, "
         f"{len(report.failures)} failure(s)",
     )
 
 
-def _cmd_render(args: argparse.Namespace) -> CommandResult:
+def _cmd_render(args: argparse.Namespace) -> _Result:
     poly = _polygon_from_args(args.values, args.radius)
     document = polygon_svg(poly)
     try:
@@ -141,20 +124,10 @@ def _cmd_render(args: argparse.Namespace) -> CommandResult:
             handle.write(document)
     except OSError as exc:
         raise WriteError(f"could not write {args.out!r}: {exc}") from exc
-    return _ok(
+    return (
         {"out": args.out, "bytes": len(document.encode("utf-8")), "n": poly.n},
         f"wrote {args.out} ({poly.n} vertices)",
     )
-
-
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "solve": _cmd_solve,
-    "construct": _cmd_construct,
-    "counterexample": _cmd_counterexample,
-    "fuzz": _cmd_fuzz,
-    "render": _cmd_render,
-}
 
 
 def _format_float(value: float) -> str:
@@ -205,38 +178,28 @@ def _to_json(value: Any) -> str:
     return "".join(parts)
 
 
-def _to_text(value: Any, prefix: str = "") -> list[str]:
-    if isinstance(value, dict):
-        lines: list[str] = []
-        for k, v in value.items():
-            key = f"{prefix}.{k}" if prefix else str(k)
-            lines.extend(_to_text(v, key))
-        return lines
-    if isinstance(value, (list, tuple)):
-        lines = []
-        for i, v in enumerate(value):
-            lines.extend(_to_text(v, f"{prefix}[{i}]"))
-        return lines or [f"{prefix} = []"]
-    if isinstance(value, bool):
-        rendered = "true" if value else "false"
-    elif isinstance(value, float):
-        rendered = _format_float(value)
-    elif value is None:
-        rendered = "null"
-    else:
-        rendered = str(value)
-    return [f"{prefix} = {rendered}"]
+def _to_text(value: Any) -> str:
+    """Flat ``key = value`` lines, one per leaf; an empty list is a leaf."""
+    lines: list[str] = []
 
+    def walk(value: Any, prefix: str) -> None:
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, f"{prefix}.{k}" if prefix else str(k))
+        elif isinstance(value, (list, tuple)):
+            for i, v in enumerate(value):
+                walk(v, f"{prefix}[{i}]")
+            if not value:
+                lines.append(f"{prefix} = []")
+        elif isinstance(value, bool):
+            lines.append(f"{prefix} = {'true' if value else 'false'}")
+        elif isinstance(value, float):
+            lines.append(f"{prefix} = {_format_float(value)}")
+        else:
+            lines.append(f"{prefix} = {'null' if value is None else value}")
 
-def _render_result(result: CommandResult, fmt: str) -> str:
-    tree = {
-        "status": result.status,
-        "human_summary": result.human_summary,
-        "payload": result.payload,
-    }
-    if fmt == "text":
-        return "\n".join(_to_text(tree))
-    return _to_json(tree)
+    walk(value, "")
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,34 +217,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str, values: str | None = None) -> argparse.ArgumentParser:
+    def command(
+        name: str, handler: Callable[..., _Result], summary: str, values: str = ""
+    ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=summary)
-        if values is not None:
+        p.set_defaults(handler=handler)
+        if values:
             p.add_argument("values", help=values)
         return p
 
     sides_or_arcs = "sides, or arc degrees when --radius is given"
     radius_help = "treat values as arc degrees on this radius"
-    p = command("verify", "evaluate the squared-diameter identity", sides_or_arcs)
+    p = command("verify", _cmd_verify, "evaluate the squared-diameter identity", sides_or_arcs)
     p.add_argument("--radius", type=float, default=None, help=radius_help)
-    command("solve", "diameter from side lengths", "comma-separated side lengths (at least 2)")
     command(
-        "construct",
-        "incongruent inscribed quadrilaterals from 3 sides",
+        "solve", _cmd_solve, "diameter from side lengths",
+        "comma-separated side lengths (at least 2)",
+    )
+    command(
+        "construct", _cmd_construct, "incongruent inscribed quadrilaterals from 3 sides",
         "comma-separated side lengths (exactly 3)",
     )
-    command("counterexample", "check the built-in non-inscribable quadrilateral")
+    command(
+        "counterexample", _cmd_counterexample,
+        "check the built-in non-inscribable quadrilateral",
+    )
 
-    p = command("fuzz", "seeded randomized verification")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--n-min", type=int, default=3, dest="n_min")
-    p.add_argument("--n-max", type=int, default=12, dest="n_max")
-    p.add_argument("--radius-min", type=float, default=0.5, dest="radius_min")
-    p.add_argument("--radius-max", type=float, default=50.0, dest="radius_max")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p = command("fuzz", _cmd_fuzz, "seeded randomized verification")
+    fuzz = FuzzConfig()
+    p.add_argument("--trials", type=int, default=fuzz.trials)
+    p.add_argument("--seed", type=int, default=fuzz.seed)
+    p.add_argument("--n-min", type=int, default=fuzz.n_min)
+    p.add_argument("--n-max", type=int, default=fuzz.n_max)
+    p.add_argument("--radius-min", type=float, default=fuzz.radius_min)
+    p.add_argument("--radius-max", type=float, default=fuzz.radius_max)
+    p.add_argument(
+        "--tolerance",
+        type=float,
+        default=fuzz.tolerance_rel,
+        dest="tolerance_rel",
+        metavar="TOLERANCE",
+    )
 
-    p = command("render", "write an SVG diagram", sides_or_arcs)
+    p = command("render", _cmd_render, "write an SVG diagram", sides_or_arcs)
     p.add_argument("--radius", type=float, default=None, help=radius_help)
     p.add_argument("--out", required=True, help="output SVG path")
 
@@ -296,20 +274,22 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    render = _to_text if args.format == "text" else _to_json
+    document = {"status": "ok", "human_summary": "", "payload": {}}
     try:
-        result = _HANDLERS[args.command](args)
-        # Rendered here so a nan or inf in the payload is a domain error.
-        output = _render_result(result, args.format)
+        document["payload"], document["human_summary"] = args.handler(args)
+        # Rendered inside the try so a nan or inf in the payload is a domain error.
+        output = render(document)
     except (SemichordError, IndexError) as exc:
         code = getattr(exc, "code", "index")
-        result = CommandResult(
+        document.update(
             status="error",
-            payload={"code": code, "message": str(exc)},
             human_summary=f"error ({code}): {exc}",
+            payload={"code": code, "message": str(exc)},
         )
-        output = _render_result(result, args.format)
+        output = render(document)
     print(output)
-    return 0 if result.status == "ok" else 1
+    return 0 if document["status"] == "ok" else 1
 
 
 if __name__ == "__main__":

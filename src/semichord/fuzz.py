@@ -203,9 +203,8 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
                     )
                 )
 
-    ordered = dict(
-        sorted(histogram.items(), key=lambda kv: (kv[0] != "0", _bucket_order(kv[0])))
-    )
+    # Bucket names "0" and "1e<k>" parse to the values they stand for.
+    ordered = dict(sorted(histogram.items(), key=lambda kv: float(kv[0])))
     return FuzzReport(
         generator=GENERATOR_NAME,
         seed=config.seed,
@@ -215,7 +214,3 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
         failures=tuple(failures),
         histogram=ordered,
     )
-
-
-def _bucket_order(key: str) -> int:
-    return 0 if key == "0" else int(key[2:])

@@ -145,9 +145,8 @@ def vertices_from_angles(angles: CentralAngles, radius: float) -> InscribedPolyg
     Vertex k sits at polar angle pi minus the sum of the first k arcs.
     The diameter endpoints are snapped exactly onto (-R, 0) and (R, 0);
     the arc-sum invariant bounds the snap below the vertex tolerance.
+    ``InscribedPolygon`` rejects a radius that is not positive and finite.
     """
-    if not radius > 0.0:
-        raise DomainError("radius must be positive")
     pts = [(-radius, 0.0)]
     theta = math.pi
     for arc in angles.arcs[:-1]:

@@ -23,6 +23,13 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .geometry import InscribedPolygon, diagonal, side_lengths
 
+#: Diameters the identities are evaluated at.  Each cross term is a
+#: product of three chords no longer than d, so below 2^330 it stays
+#: under the float maximum 2^1024, and above 2^-330 it keeps 2^32 of
+#: headroom over the smallest normal float 2^-1022 for short chords.
+_D_MIN, _D_MAX = 2.0**-330, 2.0**330
+_OUT_OF_WINDOW = "diameter is outside the range the identity is evaluated in"
+
 
 @dataclass(frozen=True, slots=True)
 class CrossTerm:
@@ -78,6 +85,8 @@ def _quadrilateral_residual(
     the quadrilateral relation: ``nested_quadrilateral_check`` and
     ``run_fuzz`` (on the chords of a cross term) both call it.
     """
+    if not _D_MIN <= d <= _D_MAX:
+        raise DomainError(_OUT_OF_WINDOW)
     rhs = rhs_quadrilateral(a, b, c, d)
     lhs = d * d
     residual_abs = abs(lhs - rhs)
@@ -142,6 +151,8 @@ def evaluate_general(poly: InscribedPolygon) -> IdentityReport:
     xe, ye = pts[-1]
     sides = side_lengths(poly)
     d = math.hypot(xe - x0, ye - y0)
+    if not _D_MIN <= d <= _D_MAX:
+        raise DomainError(_OUT_OF_WINDOW)
     sum_sq = sum(s * s for s in sides)
     terms = []
     for k in range(1, n - 2):
@@ -208,6 +219,8 @@ def corner_identity_residual(poly: InscribedPolygon) -> float:
     pe = diagonal(poly, p, e)
     ap = diagonal(poly, 0, p)
     ae = diagonal(poly, 0, e)
+    if not _D_MIN <= ae <= _D_MAX:
+        raise DomainError(_OUT_OF_WINDOW)
     lhs = pe * pe
     if lhs == 0.0:
         return 0.0

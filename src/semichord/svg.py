@@ -25,15 +25,10 @@ _STYLE_ARC = 'stroke="#1f77b4" stroke-width="1" fill="none"'
 
 def _diagonal_pairs(n: int) -> list[tuple[int, int]]:
     """Vertex index pairs of the diagonals entering the cross terms."""
-    pairs: list[tuple[int, int]] = []
     if n == 4:
         return [(0, 2), (1, 3)]
-    for k in range(1, n - 2):
-        if k >= 2:
-            pairs.append((0, k))
-        if k + 1 <= n - 3:
-            pairs.append((k + 1, n - 1))
-    return sorted(set(pairs))
+    inner = range(2, n - 2)
+    return [(0, k) for k in inner] + [(k, n - 1) for k in inner]
 
 
 def _fmt(value: float) -> str:

@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
-from semichord.cli import main
+from semichord import FuzzConfig, run_fuzz
+from semichord.cli import _to_json, main
 
 SQRT2 = math.sqrt(2.0)
 
@@ -144,6 +146,13 @@ class TestFuzzCommand:
         assert code == 0
         assert "payload.trials_run = 5" in out
         assert "payload.worst_residual_rel" in out
+
+
+    def test_flag_defaults_are_the_config_defaults(self, capsys):
+        code, doc = run_json(capsys, "fuzz", "--trials", "3")
+        assert code == 0
+        expected = asdict(run_fuzz(FuzzConfig(trials=3)))
+        assert doc["payload"] == json.loads(_to_json(expected))
 
 
 class TestRender:

@@ -17,6 +17,7 @@ import pytest
 from semichord import (
     CentralAngles,
     ChordSet,
+    CounterexampleReport,
     DomainError,
     FuzzConfig,
     InscribedPolygon,
@@ -309,7 +310,11 @@ class TestCli:
 
 
 class TestFinitePayload:
-    """A handler's payload holding nan or inf never prints as ``status: ok``."""
+    """A handler's payload holding nan or inf never prints as ``status: ok``.
+
+    ``counterexample`` is fed a report whose residual field holds each
+    shape; ``asdict`` carries it into the payload unchanged.
+    """
 
     @pytest.mark.parametrize(
         "payload",
@@ -323,9 +328,8 @@ class TestFinitePayload:
     def test_non_finite_payload_is_a_domain_error(
         self, payload, fmt, capsys, monkeypatch
     ):
-        monkeypatch.setitem(
-            cli._HANDLERS, "counterexample", lambda args: cli._ok(payload, "forced")
-        )
+        report = CounterexampleReport(True, payload, 0.0, 1.0)
+        monkeypatch.setattr(cli, "counterexample_report", lambda: report)
         status = main(["counterexample", "--format", fmt])
         out = capsys.readouterr().out
         assert status == 1

@@ -6,7 +6,9 @@ ends of the float range must either give a finite, accurate result or
 raise a DomainError.
 """
 
+import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,10 @@ from semichord import (
     InscribedPolygon,
     InvalidAnglesError,
     arc_sum,
+    corner_identity_residual,
     diameter_cubic,
+    evaluate_general,
+    nested_quadrilateral_check,
     run_fuzz,
     solve_diameter,
     vertices_from_angles,
@@ -118,3 +123,47 @@ def test_huge_radius_off_circle_vertex_is_rejected():
     radius = 2.0**600
     with pytest.raises(InvalidAnglesError):
         InscribedPolygon(radius, ((-radius, 0.0), (0.0, 1.0), (radius, 0.0)))
+
+
+IDENTITY_ARCS = [
+    (0.7, 1.1, math.pi - 1.8),
+    tuple(math.pi * w / 55.0 for w in range(1, 11)),
+    (1e-6, 1.0, math.pi - 1.0 - 1e-6),
+]
+
+
+@pytest.mark.parametrize("k", [-1000, -400, -340, -300, 300, 340, 400, 1000])
+@pytest.mark.parametrize("arcs", IDENTITY_ARCS)
+def test_identity_residuals_hold_or_raise_at_extreme_scales(arcs, k):
+    # Outside its window an evaluator raises; it never returns a wrong
+    # residual, and R = 2^-300 and 2^300 lie inside it.
+    poly = vertices_from_angles(CentralAngles(arcs), 2.0**k)
+    checks = [lambda: evaluate_general(poly).residual_rel]
+    checks += [
+        lambda j=j: nested_quadrilateral_check(poly, j).residual_rel
+        for j in range(1, poly.n - 2)
+    ]
+    checks.append(lambda: corner_identity_residual(poly))
+    for check in checks:
+        try:
+            residual = check()
+        except DomainError:
+            assert abs(k) > 300
+        else:
+            assert residual <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "30,60,90", "--radius", "1e-120"],
+        ["verify", "1e-320,1e-320"],
+        ["verify", "90,90", "--radius", "1e-320"],
+    ],
+)
+def test_verify_outside_the_identity_window_is_a_domain_error(argv, capsys):
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    doc = json.loads(out, parse_constant=pytest.fail)
+    assert doc["payload"]["code"] == "domain"
+    assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE)
