@@ -1,12 +1,13 @@
-"""Exception types shared across the package, and its finiteness guard.
+"""Exception types shared across the package.
 
 Each class carries a short machine-readable ``code`` so the CLI can map
-failures to structured error payloads without string matching.
+failures to structured error payloads without string matching.  Range
+guards are one negated comparison with both bounds, such as
+``not 0.0 < x < math.inf``, so that nan and inf fail them; their
+messages name no value, so CLI output never carries a ``nan`` or ``inf``.
 """
 
 from __future__ import annotations
-
-import math
 
 
 class SemichordError(Exception):
@@ -54,15 +55,3 @@ class WriteError(SemichordError, OSError):
     """An output file could not be written."""
 
     code = "write"
-
-
-def require_finite(value: float, name: str) -> None:
-    """Raise ``DomainError`` unless ``value`` is finite.
-
-    Range guards are written as negated comparisons (``not R > 0.0``) so
-    that nan fails them; this covers the scalars, such as a radius, where
-    inf would still pass.  The message names no value, so CLI output
-    never carries a ``nan`` or ``inf`` token.
-    """
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite")

@@ -22,9 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_finite
+from .errors import DomainError
 from .geometry import CentralAngles, diagonal, side_lengths, vertices_from_angles
 from .identity import (
+    _D_MAX,
+    _D_MIN,
     _quadrilateral_residual,
     corner_identity_residual,
     evaluate_general,
@@ -94,12 +96,13 @@ class FuzzConfig:
             raise DomainError("trials must be at least 1")
         if not 3 <= self.n_min <= self.n_max <= 64:
             raise DomainError("need 3 <= n_min <= n_max <= 64")
-        if not 0.0 < self.radius_min <= self.radius_max:
-            raise DomainError("need 0 < radius_min <= radius_max")
-        require_finite(self.radius_max, "radius_max")
-        if not self.tolerance_rel > 0.0:
-            raise DomainError("tolerance_rel must be positive")
-        require_finite(self.tolerance_rel, "tolerance_rel")
+        # Every drawn diameter 2R must lie in the identity's window.
+        if not _D_MIN <= 2.0 * self.radius_min <= 2.0 * self.radius_max <= _D_MAX:
+            raise DomainError(
+                "need radius_min <= radius_max, with diameters in the identity window"
+            )
+        if not 0.0 < self.tolerance_rel < math.inf:
+            raise DomainError("tolerance_rel must be positive and finite")
 
 
 @dataclass(frozen=True, slots=True)

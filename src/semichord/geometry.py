@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidAnglesError, require_finite
+from .errors import DomainError, InvalidAnglesError
 
 #: Absolute tolerance on the arc partition summing to a half turn.
 ARC_SUM_TOL = 1e-12
@@ -72,9 +72,8 @@ class InscribedPolygon:
             self, "vertices", tuple((float(x), float(y)) for x, y in self.vertices)
         )
         R = self.radius
-        if not R > 0.0:
-            raise DomainError("radius must be positive")
-        require_finite(R, "radius")
+        if not 0.0 < 2.0 * R < math.inf:
+            raise DomainError("radius must be positive with a finite diameter")
         pts = self.vertices
         if len(pts) < 3:
             raise InvalidAnglesError("polygon needs at least 3 vertices")
@@ -114,9 +113,8 @@ class ChordSet:
         object.__setattr__(self, "sides", tuple(float(s) for s in self.sides))
         if not all(s >= 0.0 for s in self.sides):
             raise DomainError("sides must be non-negative")
-        if not self.diameter > 0.0:
-            raise DomainError("diameter must be positive")
-        require_finite(self.diameter, "diameter")
+        if not 0.0 < self.diameter < math.inf:
+            raise DomainError("diameter must be positive and finite")
         if self.sides and self.diameter < max(self.sides):
             raise DomainError("a chord cannot exceed the diameter")
 
@@ -131,9 +129,8 @@ def chord_from_angle(arc: float, radius: float) -> float:
     Monotone increasing in ``arc`` on [0, pi]; the half-turn chord is the
     diameter.
     """
-    if not radius > 0.0:
-        raise DomainError("radius must be positive")
-    require_finite(radius, "radius")
+    if not 0.0 < 2.0 * radius < math.inf:
+        raise DomainError("radius must be positive with a finite diameter")
     if not 0.0 <= arc <= math.pi:
         raise DomainError("arc must lie in [0, pi]")
     return 2.0 * radius * math.sin(0.5 * arc)
@@ -145,7 +142,8 @@ def vertices_from_angles(angles: CentralAngles, radius: float) -> InscribedPolyg
     Vertex k sits at polar angle pi minus the sum of the first k arcs.
     The diameter endpoints are snapped exactly onto (-R, 0) and (R, 0);
     the arc-sum invariant bounds the snap below the vertex tolerance.
-    ``InscribedPolygon`` rejects a radius that is not positive and finite.
+    ``InscribedPolygon`` rejects a radius that is not positive or whose
+    diameter 2R is not finite.
     """
     pts = [(-radius, 0.0)]
     theta = math.pi

@@ -68,8 +68,8 @@ def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
     Symmetric in (a, b, c).  With any short side zero this collapses to
     the right-triangle sum of two squares.
     """
-    if not 0.0 < d < math.inf:
-        raise DomainError("diameter must be positive and finite")
+    if not _D_MIN <= d <= _D_MAX:
+        raise DomainError(_OUT_OF_WINDOW)
     # Checked inline: run_fuzz reaches this once per nested quadrilateral.
     if not (0.0 <= a < math.inf and 0.0 <= b < math.inf and 0.0 <= c < math.inf):
         _require_non_negative("abc", a, b, c)
@@ -85,8 +85,6 @@ def _quadrilateral_residual(
     the quadrilateral relation: ``nested_quadrilateral_check`` and
     ``run_fuzz`` (on the chords of a cross term) both call it.
     """
-    if not _D_MIN <= d <= _D_MAX:
-        raise DomainError(_OUT_OF_WINDOW)
     rhs = rhs_quadrilateral(a, b, c, d)
     lhs = d * d
     residual_abs = abs(lhs - rhs)
@@ -102,8 +100,8 @@ def rhs_pentagon(
     chord from the third to the last.  All four squared short sides
     appear in the sum; the cross terms are (a*b*y + x*c*d)/R.
     """
-    if not 0.0 < R < math.inf:
-        raise DomainError("radius must be positive and finite")
+    if not _D_MIN <= 2.0 * R <= _D_MAX:
+        raise DomainError(_OUT_OF_WINDOW)
     _require_non_negative("abcdxy", a, b, c, d, x, y)
     return a * a + b * b + c * c + d * d + (a * b * y + x * c * d) / R
 
@@ -125,8 +123,8 @@ def rhs_hexagon(
     Diagonals: ``y`` joins vertices 1-3, ``u`` joins 1-4, ``z`` joins
     3-6, ``x`` joins 4-6.  Cross terms are (a*b*z + y*c*x + u*d*e)/R.
     """
-    if not 0.0 < R < math.inf:
-        raise DomainError("radius must be positive and finite")
+    if not _D_MIN <= 2.0 * R <= _D_MAX:
+        raise DomainError(_OUT_OF_WINDOW)
     _require_non_negative("abcdexyzu", a, b, c, d, e, x, y, z, u)
     return a * a + b * b + c * c + d * d + e * e + (a * b * z + y * c * x + u * d * e) / R
 

@@ -19,13 +19,16 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import DomainError, PlacementError
-from .geometry import CentralAngles, InscribedPolygon, chord_from_angle, vertices_from_angles
+from .geometry import (
+    ARC_SUM_TOL,
+    CentralAngles,
+    InscribedPolygon,
+    chord_from_angle,
+    vertices_from_angles,
+)
 from .geometry import diagonal  # noqa: F401  (rebound here by bench/spans.py)
 from .identity import rhs_quadrilateral
 from .solver import _newton_descent, arcs_from_sides
-
-#: Slack (radians) before two chords count as overshooting the half turn.
-_PLACEMENT_SLACK = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +98,7 @@ def closing_side(a: float, b: float, d: float) -> float:
     arc_b = 2.0 * math.asin(b / d)
     remaining = math.pi - arc_a - arc_b
     if remaining < 0.0:
-        if remaining < -_PLACEMENT_SLACK:
+        if remaining < -ARC_SUM_TOL:
             raise PlacementError(
                 f"chords {a!r} and {b!r} overshoot the semicircle of diameter {d!r}"
             )

@@ -82,6 +82,10 @@ class TestFuzzConfig:
             {"radius_min": 0.0},
             {"radius_min": 2.0, "radius_max": 1.0},
             {"tolerance_rel": 0.0},
+            # Radii whose diameters 2R leave the identity window 2^-330..2^330.
+            {"radius_max": 1e120},
+            {"radius_max": 2.0**330},
+            {"radius_min": 2.0**-332},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

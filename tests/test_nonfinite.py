@@ -1,11 +1,11 @@
 """nan and inf inputs are rejected with a coded error, never carried along.
 
-Range guards are negated comparisons, so a nan fails them; radii and the
-fuzz tolerance, where inf would still pass a comparison, also go through
-one shared finiteness check, and the solvers and their helpers bound
-sides and diameters on both sides (``0 < s < inf``).  On the command line such input exits 1 with an
-error code and prints no ``nan`` or ``inf`` token; so does a payload
-that would carry one.
+Range guards are negated comparisons that bound a value on both sides
+(``0 < s < inf``), so nan and inf fail them; a radius is bounded through
+its diameter 2R, which must be finite, and the closed forms and the fuzz
+radius range through the identity's diameter window.  On the command
+line such input exits 1 with an error code and prints no ``nan`` or
+``inf`` token; so does a payload that would carry one.
 """
 
 import json
@@ -66,7 +66,8 @@ class TestCentralAngles:
 
 
 class TestInscribedPolygon:
-    @pytest.mark.parametrize("radius", [NAN, INF, -INF])
+    # 1e308 is finite, but its diameter 2R overflows.
+    @pytest.mark.parametrize("radius", [NAN, INF, -INF, 1e308])
     def test_non_finite_radius_rejected(self, radius):
         with pytest.raises(DomainError):
             InscribedPolygon(radius, TRIANGLE)
@@ -85,15 +86,21 @@ class TestInscribedPolygon:
 
 
 class TestRadiusArguments:
-    @pytest.mark.parametrize("radius", [NAN, INF])
+    @pytest.mark.parametrize("radius", [NAN, INF, 1e308])
     def test_vertices_from_angles_rejects_non_finite_radius(self, radius):
         with pytest.raises(DomainError):
             vertices_from_angles(CentralAngles([HALF, HALF]), radius)
 
-    @pytest.mark.parametrize("radius", [NAN, INF])
+    @pytest.mark.parametrize("radius", [NAN, INF, 1e308])
     def test_chord_from_angle_rejects_non_finite_radius(self, radius):
         with pytest.raises(DomainError):
             chord_from_angle(HALF, radius)
+
+    def test_largest_radius_with_a_finite_diameter_accepted(self):
+        radius = math.nextafter(2.0**1023, 0.0)
+        poly = vertices_from_angles(CentralAngles([HALF, HALF]), radius)
+        assert chord_from_angle(math.pi, radius) == 2.0 * radius
+        assert poly.radius == radius
 
     @pytest.mark.parametrize("arc", [NAN, INF])
     def test_chord_from_angle_rejects_non_finite_arc(self, arc):
@@ -289,6 +296,8 @@ class TestCli:
             (["verify", "nan,1"], "domain"),
             (["construct", "inf,1,1"], "domain"),
             (["construct", "1,nan,1"], "domain"),
+            (["render", "90,90", "--radius", "1e308", "--out", "d.svg"], "domain"),
+            (["fuzz", "--trials", "50", "--radius-max", "1e120"], "domain"),
         ],
     )
     @pytest.mark.parametrize("fmt", ["json", "text"])

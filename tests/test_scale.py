@@ -22,10 +22,15 @@ from semichord import (
     InvalidAnglesError,
     arc_sum,
     corner_identity_residual,
+    diagonal,
     diameter_cubic,
     evaluate_general,
     nested_quadrilateral_check,
+    rhs_hexagon,
+    rhs_pentagon,
+    rhs_quadrilateral,
     run_fuzz,
+    side_lengths,
     solve_diameter,
     vertices_from_angles,
 )
@@ -129,7 +134,29 @@ IDENTITY_ARCS = [
     (0.7, 1.1, math.pi - 1.8),
     tuple(math.pi * w / 55.0 for w in range(1, 11)),
     (1e-6, 1.0, math.pi - 1.0 - 1e-6),
+    (0.5, 0.9, 1.0, math.pi - 2.4),
+    (0.3, 0.6, 1e-6, 0.8, math.pi - 1.7 - 1e-6),
 ]
+
+NONFINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def _closed_form_residual(poly):
+    """Relative residual of the 4-, 5- or 6-vertex closed form on ``poly``."""
+
+    def chord(i, j):
+        return diagonal(poly, i, j)
+
+    d = chord(0, poly.n - 1)
+    sides = side_lengths(poly)
+    R = poly.radius
+    if poly.n == 4:
+        rhs = rhs_quadrilateral(*sides, d)
+    elif poly.n == 5:
+        rhs = rhs_pentagon(*sides, R, chord(0, 2), chord(2, 4))
+    else:
+        rhs = rhs_hexagon(*sides, R, chord(3, 5), chord(0, 2), chord(2, 5), chord(0, 3))
+    return abs(d * d - rhs) / (d * d)
 
 
 @pytest.mark.parametrize("k", [-1000, -400, -340, -300, 300, 340, 400, 1000])
@@ -144,13 +171,32 @@ def test_identity_residuals_hold_or_raise_at_extreme_scales(arcs, k):
         for j in range(1, poly.n - 2)
     ]
     checks.append(lambda: corner_identity_residual(poly))
+    if poly.n <= 6:
+        checks.append(lambda: _closed_form_residual(poly))
     for check in checks:
         try:
             residual = check()
-        except DomainError:
+        except DomainError as exc:
             assert abs(k) > 300
+            assert not NONFINITE_TOKEN.search(str(exc))
         else:
             assert residual <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "closed_form, args",
+    [
+        (rhs_quadrilateral, (1e200, 1e200, 1e200, 2e200)),
+        (rhs_pentagon, (1e200,) * 7),
+        (rhs_hexagon, (1e200,) * 10),
+    ],
+)
+def test_closed_forms_outside_the_identity_window_raise(closed_form, args):
+    # Inside the float range but outside the window: the cross terms,
+    # products of three chords, would overflow to inf.
+    with pytest.raises(DomainError) as info:
+        closed_form(*args)
+    assert not NONFINITE_TOKEN.search(str(info.value))
 
 
 @pytest.mark.parametrize(
@@ -166,4 +212,22 @@ def test_verify_outside_the_identity_window_is_a_domain_error(argv, capsys):
     out = capsys.readouterr().out
     doc = json.loads(out, parse_constant=pytest.fail)
     assert doc["payload"]["code"] == "domain"
-    assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE)
+    assert not NONFINITE_TOKEN.search(out)
+
+
+@pytest.mark.parametrize(
+    "radius_min, radius_max",
+    [(2.0**-331, 2.0**-331), (2.0**329, 2.0**329), (2.0**-331, 2.0**329)],
+)
+def test_fuzz_at_the_identity_window_edges_runs_clean(radius_min, radius_max):
+    config = FuzzConfig(
+        trials=300,
+        n_max=64,
+        radius_min=radius_min,
+        radius_max=radius_max,
+        seed=7,
+        tolerance_rel=1e-13,
+    )
+    report = run_fuzz(config)
+    assert report.trials_run == 300
+    assert report.failures == ()
