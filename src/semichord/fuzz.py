@@ -2,13 +2,15 @@
 
 Every trial draws an arc partition and radius, builds the polygon, and
 makes four kinds of check: the general identity; the quadrilateral
-relation on each nested quadrilateral (1, k+1, k+2, n), taken from the
-chords of the general identity's cross term k, so each chord is
-measured once per trial; the last-corner law-of-cosines step; and the
-diameter-solver round trip.  The stress regime covers one extreme only:
-with a fixed probability one arc is forced tiny, so that two vertices
-nearly coincide.  Near-diameter sides, extreme radii and the quads layer
-are not drawn.
+relation on each nested quadrilateral (1, k+1, k+2, n); the last-corner
+law-of-cosines step; and the diameter-solver round trip.  The general,
+nested and solver checks share one measurement of the sides, the
+diameter d and the cross-term chords, taken by the general identity's
+kernel, so each of those chords is measured once per trial; the corner
+check measures its five chords itself.  The stress regime covers one
+extreme only: with a fixed probability one arc is forced tiny, so that
+two vertices nearly coincide.  Near-diameter sides, extreme radii and
+the quads layer are not drawn.
 Failures are data, not exceptions, and the whole run is reproducible:
 the generator is splitmix64 (a 64-bit Weyl counter hashed through two
 xor-multiply rounds), implemented in pure integer arithmetic so streams
@@ -23,13 +25,18 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .geometry import CentralAngles, diagonal, side_lengths, vertices_from_angles
+from .geometry import (
+    CentralAngles,
+    side_lengths,  # noqa: F401  (rebound here by bench/spans.py)
+    vertices_from_angles,
+)
 from .identity import (
     _D_MAX,
     _D_MIN,
+    _general_identity,
     _quadrilateral_residual,
     corner_identity_residual,
-    evaluate_general,
+    evaluate_general,  # noqa: F401  (rebound here by bench/spans.py)
     nested_quadrilateral_check,  # noqa: F401  (rebound here by bench/spans.py)
 )
 from .solver import solve_diameter
@@ -175,17 +182,15 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
             angles = _stressed(angles, gen)
         poly = vertices_from_angles(angles, radius)
 
-        report = evaluate_general(poly)
-        checks = [("general", report.residual_rel)]
-        d = diagonal(poly, 0, n - 1)
-        for term in report.cross_terms:
-            _, _, residual = _quadrilateral_residual(
-                term.first_diagonal, term.side, term.second_diagonal, d
-            )
-            checks.append((f"nested k={term.k}", residual))
+        sides, d, _, rhs, chords = _general_identity(poly)
+        lhs = d * d
+        checks = [("general", abs(lhs - rhs) / lhs)]
+        for k, (first, side, second, _) in enumerate(chords, start=1):
+            _, _, residual = _quadrilateral_residual(first, side, second, d)
+            checks.append((f"nested k={k}", residual))
         if n >= 4:
             checks.append(("corner", corner_identity_residual(poly)))
-        solution = solve_diameter(side_lengths(poly))
+        solution = solve_diameter(sides)
         target_d = 2.0 * radius
         checks.append(("solver round trip", abs(solution.d - target_d) / target_d))
 

@@ -30,6 +30,13 @@ from .geometry import InscribedPolygon, diagonal, side_lengths
 _D_MIN, _D_MAX = 2.0**-330, 2.0**330
 _OUT_OF_WINDOW = "diameter is outside the range the identity is evaluated in"
 
+#: Longest length a closed form accepts, as a multiple of the diameter.
+#: A chord is at most d; the rest is headroom, since a length multiplied
+#: by a zero side may be anything.  At 2^10 d the sum of three products
+#: of three lengths stays below 2^1024 at d = 2^330, so no closed form
+#: overflows inside the window; at 2^11 d they would.
+_LENGTH_HEADROOM = 2.0**10
+
 
 @dataclass(frozen=True, slots=True)
 class CrossTerm:
@@ -55,11 +62,16 @@ class IdentityReport:
     residual_rel: float
 
 
-def _require_non_negative(names: str, *values: float) -> None:
-    """Raise for the first value not in [0, inf), named by its letter."""
+def _require_non_negative(names: str, bound: str, limit: float, *values: float) -> None:
+    """Raise for the first value not in [0, limit], named by its letter.
+
+    ``bound`` names ``limit`` in the message, e.g. "2^10 d".
+    """
     for name, value in zip(names, values):
         if not 0.0 <= value < math.inf:
             raise DomainError(f"{name} must be non-negative and finite")
+        if not value <= limit:
+            raise DomainError(f"{name} must be at most {bound}")
 
 
 def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
@@ -71,8 +83,9 @@ def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
     if not _D_MIN <= d <= _D_MAX:
         raise DomainError(_OUT_OF_WINDOW)
     # Checked inline: run_fuzz reaches this once per nested quadrilateral.
-    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf and 0.0 <= c < math.inf):
-        _require_non_negative("abc", a, b, c)
+    limit = _LENGTH_HEADROOM * d
+    if not (0.0 <= a <= limit and 0.0 <= b <= limit and 0.0 <= c <= limit):
+        _require_non_negative("abc", "2^10 d", limit, a, b, c)
     return a * a + b * b + c * c + 2.0 * a * b * c / d
 
 
@@ -102,7 +115,8 @@ def rhs_pentagon(
     """
     if not _D_MIN <= 2.0 * R <= _D_MAX:
         raise DomainError(_OUT_OF_WINDOW)
-    _require_non_negative("abcdxy", a, b, c, d, x, y)
+    limit = _LENGTH_HEADROOM * 2.0 * R
+    _require_non_negative("abcdxy", "2^11 R", limit, a, b, c, d, x, y)
     return a * a + b * b + c * c + d * d + (a * b * y + x * c * d) / R
 
 
@@ -125,25 +139,26 @@ def rhs_hexagon(
     """
     if not _D_MIN <= 2.0 * R <= _D_MAX:
         raise DomainError(_OUT_OF_WINDOW)
-    _require_non_negative("abcdexyzu", a, b, c, d, e, x, y, z, u)
+    limit = _LENGTH_HEADROOM * 2.0 * R
+    _require_non_negative("abcdexyzu", "2^11 R", limit, a, b, c, d, e, x, y, z, u)
     return a * a + b * b + c * c + d * d + e * e + (a * b * z + y * c * x + u * d * e) / R
 
 
-def evaluate_general(poly: InscribedPolygon) -> IdentityReport:
-    """Measure every side and needed diagonal, evaluate the identity.
+def _general_identity(
+    poly: InscribedPolygon,
+) -> tuple[list[float], float, float, float, list[tuple[float, float, float, float]]]:
+    """The general identity's arithmetic, with no records built.
 
-    Cross term k carries the three short sides of nested quadrilateral k,
-    the one on vertices (1, k+1, k+2, n): ``first_diagonal`` is the chord
-    (1, k+1), ``side`` the chord (k+1, k+2) and ``second_diagonal`` the
-    chord (k+2, n).  Together with the diameter they give that
-    quadrilateral's relation bit for bit as ``nested_quadrilateral_check``
-    measures it.  Chords are measured with ``math.hypot`` straight from
-    the vertex coordinates, the same arithmetic as ``diagonal``.
-
-    The residual is reported both absolutely and relative to the left
-    side d^2, which is strictly positive for any valid polygon.
+    Returns ``(sides, d, sum_sq, rhs, chords)``: the n-1 sides, the
+    diameter, the sum of squared sides, the right side, and for each
+    k = 1..n-3 the tuple ``(first, side, second, product)`` of cross
+    term k.  ``first`` is the chord (1, k+1), ``side`` the chord
+    (k+1, k+2) and ``second`` the chord (k+2, n); they are the short
+    sides of nested quadrilateral k, measured with ``math.hypot``
+    straight from the vertex coordinates, the same arithmetic as
+    ``diagonal``.  ``evaluate_general`` wraps this; ``run_fuzz`` reads
+    it directly.
     """
-    n = poly.n
     pts = poly.vertices
     x0, y0 = pts[0]
     xe, ye = pts[-1]
@@ -152,22 +167,42 @@ def evaluate_general(poly: InscribedPolygon) -> IdentityReport:
     if not _D_MIN <= d <= _D_MAX:
         raise DomainError(_OUT_OF_WINDOW)
     sum_sq = sum(s * s for s in sides)
-    terms = []
-    for k in range(1, n - 2):
+    chords = []
+    for k in range(1, len(pts) - 2):
         xk, yk = pts[k]
         xm, ym = pts[k + 1]
         first = math.hypot(xk - x0, yk - y0)
         side = sides[k]
         second = math.hypot(xe - xm, ye - ym)
-        terms.append(CrossTerm(k, first, side, second, first * side * second))
-    rhs = sum_sq + 2.0 * sum(t.term_value for t in terms) / d
+        chords.append((first, side, second, first * side * second))
+    rhs = sum_sq + 2.0 * sum(chord[3] for chord in chords) / d
+    return sides, d, sum_sq, rhs, chords
+
+
+def evaluate_general(poly: InscribedPolygon) -> IdentityReport:
+    """Measure every side and needed diagonal, evaluate the identity.
+
+    The arithmetic is ``_general_identity``'s; this builds the records.
+    Cross term k carries the three short sides of nested quadrilateral k,
+    the one on vertices (1, k+1, k+2, n): ``first_diagonal`` is the chord
+    (1, k+1), ``side`` the chord (k+1, k+2) and ``second_diagonal`` the
+    chord (k+2, n).  Together with the diameter they give that
+    quadrilateral's relation bit for bit as ``nested_quadrilateral_check``
+    measures it.
+
+    The residual is reported both absolutely and relative to the left
+    side d^2, which is strictly positive for any valid polygon.
+    """
+    _, d, sum_sq, rhs, chords = _general_identity(poly)
     lhs = d * d
     residual_abs = abs(lhs - rhs)
     return IdentityReport(
-        n=n,
+        n=poly.n,
         lhs=lhs,
         sum_of_squares=sum_sq,
-        cross_terms=tuple(terms),
+        cross_terms=tuple(
+            CrossTerm(k, *chord) for k, chord in enumerate(chords, start=1)
+        ),
         rhs=rhs,
         residual_abs=residual_abs,
         residual_rel=residual_abs / lhs,

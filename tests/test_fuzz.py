@@ -8,9 +8,15 @@ from semichord import (
     DomainError,
     FuzzConfig,
     SplitMix64,
+    corner_identity_residual,
+    evaluate_general,
+    nested_quadrilateral_check,
     random_angles,
     run_fuzz,
+    side_lengths,
+    solve_diameter,
 )
+from semichord import fuzz
 
 # Reference stream for state 0, as published for the splitmix64
 # algorithm; guards against any platform or refactoring drift.
@@ -151,3 +157,44 @@ class TestRunFuzz:
             FuzzConfig(trials=100, n_min=30, n_max=32, seed=42, tolerance_rel=1e-8)
         )
         assert report.failures == ()
+
+
+class TestChecksMatchThePublicApi:
+    """Each residual run_fuzz lists is the public API's, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_listed_residuals_equal_the_public_calls(self, seed, monkeypatch):
+        placed = []
+        place = fuzz.vertices_from_angles
+
+        def capture(angles, radius):
+            placed.append(place(angles, radius))
+            return placed[-1]
+
+        monkeypatch.setattr(fuzz, "vertices_from_angles", capture)
+        # The smallest positive tolerance lists every nonzero residual.
+        tolerance = 5e-324
+        report = run_fuzz(
+            FuzzConfig(trials=1, seed=seed, n_max=64, tolerance_rel=tolerance)
+        )
+        (poly,) = placed
+
+        expected = {"general": evaluate_general(poly).residual_rel}
+        for k in range(1, poly.n - 2):
+            expected[f"nested k={k}"] = nested_quadrilateral_check(poly, k).residual_rel
+        if poly.n >= 4:
+            expected["corner"] = corner_identity_residual(poly)
+        target = 2.0 * poly.radius
+        solved = solve_diameter(side_lengths(poly)).d
+        expected["solver round trip"] = abs(solved - target) / target
+
+        listed = {}
+        for failure in report.failures:
+            assert f" n={poly.n} R={poly.radius!r} " in failure.description
+            name = failure.description.split(" check=")[1].split(" state=")[0]
+            listed[name] = failure.residual
+        assert listed == {
+            name: residual
+            for name, residual in expected.items()
+            if residual > tolerance
+        }

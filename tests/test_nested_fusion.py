@@ -1,10 +1,13 @@
-"""The general identity's cross terms carry the nested quadrilaterals' chords.
+"""The general identity's kernel carries the nested quadrilaterals' chords.
 
-``run_fuzz`` takes each ``nested k=...`` residual from cross term k of
-its single ``evaluate_general`` call instead of calling
-``nested_quadrilateral_check``.  That is only sound if the chords and the
-residual agree bit for bit, which these tests check on random polygons,
-some with one arc forced tiny (two vertices nearly coincide).
+``run_fuzz`` reads the general identity, every ``nested k=...`` residual
+and the solver's sides from one call of ``identity._general_identity``,
+the kernel ``evaluate_general`` wraps, instead of calling
+``evaluate_general``, ``nested_quadrilateral_check`` and ``side_lengths``.
+That is only sound if the kernel agrees with the public report and the
+cross-term chords and residuals agree with the nested check bit for bit,
+which these tests check on random polygons, some with one arc forced
+tiny (two vertices nearly coincide).
 """
 
 import math
@@ -17,9 +20,10 @@ from semichord import (
     diagonal,
     evaluate_general,
     nested_quadrilateral_check,
+    side_lengths,
     vertices_from_angles,
 )
-from semichord.identity import _quadrilateral_residual
+from semichord.identity import _general_identity, _quadrilateral_residual
 
 
 @st.composite
@@ -75,3 +79,20 @@ def test_cross_term_residual_equals_nested_check(poly):
         assert rhs == report.rhs
         assert residual_abs == report.residual_abs
         assert residual_rel == report.residual_rel
+
+
+@settings(max_examples=150, deadline=None)
+@given(polygons(min_n=3))
+@example(STRESSED_PENTAGON)
+def test_kernel_equals_the_report_fields(poly):
+    sides, d, sum_sq, rhs, chords = _general_identity(poly)
+    report = evaluate_general(poly)
+    assert sides == side_lengths(poly)
+    assert d == diagonal(poly, 0, poly.n - 1)
+    assert d * d == report.lhs
+    assert sum_sq == report.sum_of_squares
+    assert rhs == report.rhs
+    assert chords == [
+        (t.first_diagonal, t.side, t.second_diagonal, t.term_value)
+        for t in report.cross_terms
+    ]

@@ -200,6 +200,46 @@ def test_closed_forms_outside_the_identity_window_raise(closed_form, args):
 
 
 @pytest.mark.parametrize(
+    "closed_form, args, message",
+    [
+        (rhs_quadrilateral, (1e200, 1e200, 1e200, 1.0), "a must be at most 2^10 d"),
+        (rhs_pentagon, (1e200, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0), "a must be at most 2^11 R"),
+        (rhs_hexagon, (1e160,) * 5 + (1.0,) + (1e160,) * 4, "a must be at most 2^11 R"),
+    ],
+)
+def test_closed_forms_reject_lengths_far_beyond_the_diameter(closed_form, args, message):
+    # Inside the window, but the products of these lengths would
+    # overflow to inf.
+    with pytest.raises(DomainError) as info:
+        closed_form(*args)
+    assert str(info.value) == message
+
+
+def _closed_form_on_lengths(closed_form, length, d):
+    """``closed_form`` on diameter d with every length set to ``length``."""
+    if closed_form is rhs_quadrilateral:
+        return rhs_quadrilateral(length, length, length, d)
+    sides, diagonals = (4, 2) if closed_form is rhs_pentagon else (5, 4)
+    return closed_form(*[length] * sides, 0.5 * d, *[length] * diagonals)
+
+
+@pytest.mark.parametrize("closed_form", [rhs_quadrilateral, rhs_pentagon, rhs_hexagon])
+@pytest.mark.parametrize("d", [2.0**-330, 1.0, 2.0**330])
+@pytest.mark.parametrize("multiple", [1.0, 2.0, 2.0**10])
+def test_closed_forms_accept_lengths_up_to_the_headroom(closed_form, d, multiple):
+    # A chord is at most d; up to 2^10 d is accepted, and even at the top
+    # of the window no product of three such lengths overflows.
+    assert 0.0 < _closed_form_on_lengths(closed_form, multiple * d, d) < math.inf
+
+
+@pytest.mark.parametrize("closed_form", [rhs_quadrilateral, rhs_pentagon, rhs_hexagon])
+def test_closed_forms_reject_the_next_length_past_the_headroom(closed_form):
+    d = 2.0**330
+    with pytest.raises(DomainError):
+        _closed_form_on_lengths(closed_form, math.nextafter(2.0**10 * d, math.inf), d)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "30,60,90", "--radius", "1e-120"],
