@@ -3,20 +3,20 @@
 Every trial draws an arc partition and radius, builds the polygon, and
 makes four kinds of check: the general identity; the quadrilateral
 relation on each nested quadrilateral (1, k+1, k+2, n); the last-corner
-law-of-cosines step; and the diameter-solver round trip.  The general,
-nested and solver checks share one measurement of the sides, the
-diameter d and the cross-term chords, taken by the general identity's
-kernel, so each of those chords is measured once per trial; the corner
-check measures its five chords itself.  The stress regime covers one
-extreme only: with a fixed probability one arc is forced tiny, so that
-two vertices nearly coincide.  Near-diameter sides, extreme radii and
-the quads layer are not drawn.
+law-of-cosines step; and the diameter-solver round trip.  All four read
+one measurement of the sides, the diameter d and the cross-term chords,
+taken by the general identity's kernel, so each chord is measured once
+per trial; the corner check takes its five chords from it too.  The
+stress regime covers one extreme only: with a fixed probability one arc
+is forced tiny, so that two vertices nearly coincide.  Near-diameter
+sides, extreme radii and the quads layer are not drawn.
 Failures are data, not exceptions, and the whole run is reproducible:
 the generator is splitmix64 (a 64-bit Weyl counter hashed through two
 xor-multiply rounds), implemented in pure integer arithmetic so streams
 are identical on every platform, and each trial owns a disjoint
 substream reached by jumping the counter, so results do not depend on
-execution order.
+execution order.  The checks sum in a fixed order, so reports are
+identical on every platform and Python version too.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from .geometry import (
 from .identity import (
     _D_MAX,
     _D_MIN,
+    _corner_residual,
     _general_identity,
     _quadrilateral_residual,
-    corner_identity_residual,
+    corner_identity_residual,  # noqa: F401  (rebound here by bench/spans.py)
     evaluate_general,  # noqa: F401  (rebound here by bench/spans.py)
     nested_quadrilateral_check,  # noqa: F401  (rebound here by bench/spans.py)
 )
@@ -157,18 +158,45 @@ def _stressed(angles: CentralAngles, gen: SplitMix64) -> CentralAngles:
     return CentralAngles(rescaled)
 
 
-def _decade(residual: float) -> str:
-    if residual <= 0.0:
-        return "0"
-    return f"1e{math.floor(math.log10(residual))}"
+def _check_name(index: int, n: int, count: int) -> str:
+    """Name of the check at ``index`` in an n-gon trial's ``count`` residuals.
+
+    The order is run_fuzz's: general, nested k = 1..n-3, corner (n >= 4),
+    solver round trip.
+    """
+    if index == 0:
+        return "general"
+    if index <= n - 3:
+        return f"nested k={index}"
+    if index == count - 1:
+        return "solver round trip"
+    return "corner"
+
+
+def _histogram(counts: dict[int | str, int]) -> dict[str, int]:
+    """Label and order the buckets: "0", each decade "1e<k>" up, "inf", "nan"."""
+    decades = sorted(key for key in counts if isinstance(key, int))
+    order = ["0", *decades, "inf", "nan"]
+    return {
+        key if isinstance(key, str) else f"1e{key}": counts[key]
+        for key in order
+        if key in counts
+    }
 
 
 def run_fuzz(config: FuzzConfig) -> FuzzReport:
-    """Run every check over ``config.trials`` seeded random polygons."""
+    """Run every check over ``config.trials`` seeded random polygons.
+
+    A residual that is not finite counts as a failure; the histogram
+    keeps it in its own bucket.
+    """
+    tolerance = config.tolerance_rel
     worst = 0.0
     worst_state = SplitMix64.for_trial(config.seed, 0).state
     failures: list[FuzzFailure] = []
-    histogram: dict[str, int] = {}
+    # Residuals counted by decade floor(log10 r); "0", "inf" and "nan"
+    # are the buckets outside (0, inf).
+    counts: dict[int | str, int] = {}
 
     for trial in range(config.trials):
         gen = SplitMix64.for_trial(config.seed, trial)
@@ -182,25 +210,41 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
             angles = _stressed(angles, gen)
         poly = vertices_from_angles(angles, radius)
 
+        # Every check reads the kernel's one measurement of the chords.
         sides, d, _, rhs, chords = _general_identity(poly)
         lhs = d * d
-        checks = [("general", abs(lhs - rhs) / lhs)]
-        for k, (first, side, second, _) in enumerate(chords, start=1):
-            _, _, residual = _quadrilateral_residual(first, side, second, d)
-            checks.append((f"nested k={k}", residual))
+        residuals = [abs(lhs - rhs) / lhs]
+        for first, side, second, _ in chords:
+            residuals.append(_quadrilateral_residual(first, side, second, d)[2])
         if n >= 4:
-            checks.append(("corner", corner_identity_residual(poly)))
+            # Corner P, Q, E = vertices n-3, n-2, n-1 (0-based): |PE| is
+            # cross term n-4's second chord, or for n = 4 the chord (1, 3).
+            if n >= 5:
+                pe = chords[n - 5][2]
+            else:
+                (x1, y1), _, (x3, y3) = poly.vertices[1:]
+                pe = math.hypot(x3 - x1, y3 - y1)
+            residuals.append(
+                _corner_residual(sides[n - 3], sides[n - 2], pe, chords[n - 4][0], d)
+            )
         solution = solve_diameter(sides)
         target_d = 2.0 * radius
-        checks.append(("solver round trip", abs(solution.d - target_d) / target_d))
+        residuals.append(abs(solution.d - target_d) / target_d)
 
-        for name, residual in checks:
-            bucket = _decade(residual)
-            histogram[bucket] = histogram.get(bucket, 0) + 1
+        for index, residual in enumerate(residuals):
+            if 0.0 < residual < math.inf:
+                key = math.floor(math.log10(residual))
+            elif residual == 0.0:
+                key = "0"
+            else:
+                key = "inf" if residual > 0.0 else "nan"
+            counts[key] = counts.get(key, 0) + 1
             if residual > worst:
                 worst = residual
                 worst_state = trial_state
-            if residual > config.tolerance_rel:
+            # Negated so that a nan residual fails it.
+            if not residual <= tolerance:
+                name = _check_name(index, n, len(residuals))
                 failures.append(
                     FuzzFailure(
                         description=(
@@ -211,8 +255,6 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
                     )
                 )
 
-    # Bucket names "0" and "1e<k>" parse to the values they stand for.
-    ordered = dict(sorted(histogram.items(), key=lambda kv: float(kv[0])))
     return FuzzReport(
         generator=GENERATOR_NAME,
         seed=config.seed,
@@ -220,5 +262,5 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
         worst_residual_rel=worst,
         worst_case_seed_state=worst_state,
         failures=tuple(failures),
-        histogram=ordered,
+        histogram=_histogram(counts),
     )

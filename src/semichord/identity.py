@@ -166,7 +166,12 @@ def _general_identity(
     d = math.hypot(xe - x0, ye - y0)
     if not _D_MIN <= d <= _D_MAX:
         raise DomainError(_OUT_OF_WINDOW)
-    sum_sq = sum(s * s for s in sides)
+    # Both sums add left to right with plain +=, so every Python rounds
+    # them alike: from 3.12 on, sum() of floats is compensated.
+    sum_sq = 0.0
+    for s in sides:
+        sum_sq += s * s
+    cross = 0.0
     chords = []
     for k in range(1, len(pts) - 2):
         xk, yk = pts[k]
@@ -174,8 +179,10 @@ def _general_identity(
         first = math.hypot(xk - x0, yk - y0)
         side = sides[k]
         second = math.hypot(xe - xm, ye - ym)
-        chords.append((first, side, second, first * side * second))
-    rhs = sum_sq + 2.0 * sum(chord[3] for chord in chords) / d
+        product = first * side * second
+        cross += product
+        chords.append((first, side, second, product))
+    rhs = sum_sq + 2.0 * cross / d
     return sides, d, sum_sq, rhs, chords
 
 
@@ -241,17 +248,25 @@ def corner_identity_residual(poly: InscribedPolygon) -> float:
     For the last three vertices P, Q, E (E the right diameter endpoint),
     Thales' theorem turns the cosine at Q into a ratio of chords from
     the first vertex:  |PE|^2 = |PQ|^2 + |QE|^2 + 2|PQ||QE|·|A1P|/|A1E|.
-    Needs at least 4 vertices.
+    Needs at least 4 vertices.  This measures the five chords and hands
+    them to ``_corner_residual``; ``run_fuzz`` hands it the same chords,
+    bit for bit, read from the general identity's kernel.
     """
     n = poly.n
     if n < 4:
         raise IndexError("corner identity needs at least 4 vertices")
     p, q, e = n - 3, n - 2, n - 1
-    pq = diagonal(poly, p, q)
-    qe = diagonal(poly, q, e)
-    pe = diagonal(poly, p, e)
-    ap = diagonal(poly, 0, p)
-    ae = diagonal(poly, 0, e)
+    return _corner_residual(
+        diagonal(poly, p, q),
+        diagonal(poly, q, e),
+        diagonal(poly, p, e),
+        diagonal(poly, 0, p),
+        diagonal(poly, 0, e),
+    )
+
+
+def _corner_residual(pq: float, qe: float, pe: float, ap: float, ae: float) -> float:
+    """The corner relation's arithmetic on its five chords; ``ae`` is d."""
     if not _D_MIN <= ae <= _D_MAX:
         raise DomainError(_OUT_OF_WINDOW)
     lhs = pe * pe

@@ -1,6 +1,8 @@
 """Tests for the seeded randomized verification harness."""
 
+import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +19,7 @@ from semichord import (
     solve_diameter,
 )
 from semichord import fuzz
+from semichord.cli import main
 
 # Reference stream for state 0, as published for the splitmix64
 # algorithm; guards against any platform or refactoring drift.
@@ -159,24 +162,28 @@ class TestRunFuzz:
         assert report.failures == ()
 
 
+def _capture_polygons(monkeypatch) -> list:
+    """Record every polygon run_fuzz places, in trial order."""
+    placed = []
+    place = fuzz.vertices_from_angles
+
+    def capture(angles, radius):
+        placed.append(place(angles, radius))
+        return placed[-1]
+
+    monkeypatch.setattr(fuzz, "vertices_from_angles", capture)
+    return placed
+
+
 class TestChecksMatchThePublicApi:
     """Each residual run_fuzz lists is the public API's, bit for bit."""
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_listed_residuals_equal_the_public_calls(self, seed, monkeypatch):
-        placed = []
-        place = fuzz.vertices_from_angles
-
-        def capture(angles, radius):
-            placed.append(place(angles, radius))
-            return placed[-1]
-
-        monkeypatch.setattr(fuzz, "vertices_from_angles", capture)
+    @staticmethod
+    def _assert_listed_equal_public(monkeypatch, **config):
+        placed = _capture_polygons(monkeypatch)
         # The smallest positive tolerance lists every nonzero residual.
         tolerance = 5e-324
-        report = run_fuzz(
-            FuzzConfig(trials=1, seed=seed, n_max=64, tolerance_rel=tolerance)
-        )
+        report = run_fuzz(FuzzConfig(trials=1, tolerance_rel=tolerance, **config))
         (poly,) = placed
 
         expected = {"general": evaluate_general(poly).residual_rel}
@@ -198,3 +205,75 @@ class TestChecksMatchThePublicApi:
             for name, residual in expected.items()
             if residual > tolerance
         }
+        return poly
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_listed_residuals_equal_the_public_calls(self, seed, monkeypatch):
+        self._assert_listed_equal_public(monkeypatch, seed=seed, n_max=64)
+
+    # run_fuzz reads the corner chord |PE| from the kernel for n >= 5 and
+    # measures it for n = 4; pin both branches.
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_corner_branches_equal_the_public_call(self, n, seed, monkeypatch):
+        poly = self._assert_listed_equal_public(
+            monkeypatch, seed=seed, n_min=n, n_max=n
+        )
+        assert poly.n == n
+
+
+class TestHistogram:
+    @staticmethod
+    def _decade(residual: float) -> str:
+        """The bucket label of one residual, by the log10 formula."""
+        if residual <= 0.0:
+            return "0"
+        return f"1e{math.floor(math.log10(residual))}"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_histogram_is_a_recount_of_every_residual(self, seed, monkeypatch):
+        placed = _capture_polygons(monkeypatch)
+        report = run_fuzz(
+            FuzzConfig(trials=40, seed=seed, n_max=64, tolerance_rel=5e-324)
+        )
+        # Every nonzero residual is listed; the rest are exactly zero.  An
+        # n-gon trial makes n checks (general, n-3 nested, corner, solver),
+        # a triangle's two.
+        total = sum(poly.n if poly.n >= 4 else 2 for poly in placed)
+        recount = {"0": total - len(report.failures)}
+        for failure in report.failures:
+            bucket = self._decade(failure.residual)
+            recount[bucket] = recount.get(bucket, 0) + 1
+        ordered = sorted(
+            ((k, v) for k, v in recount.items() if v), key=lambda kv: float(kv[0])
+        )
+        assert list(report.histogram.items()) == ordered
+
+
+class TestNonFiniteResidual:
+    """A nan or inf from any check is a failure, never a crash or a zero."""
+
+    @staticmethod
+    def _solver_returning(d, monkeypatch):
+        solution = SimpleNamespace(d=d)
+        monkeypatch.setattr(fuzz, "solve_diameter", lambda sides: solution)
+
+    @pytest.mark.parametrize("d, bucket", [(math.nan, "nan"), (math.inf, "inf")])
+    def test_failure_in_its_own_bucket(self, d, bucket, monkeypatch):
+        self._solver_returning(d, monkeypatch)
+        report = run_fuzz(FuzzConfig(trials=5, seed=3))
+        assert len(report.failures) == 5
+        for failure in report.failures:
+            assert " check=solver round trip " in failure.description
+            assert not math.isfinite(failure.residual)
+        assert list(report.histogram)[-1] == bucket
+        assert report.histogram[bucket] == 5
+
+    def test_cli_reports_a_domain_error(self, monkeypatch, capsys):
+        self._solver_returning(math.nan, monkeypatch)
+        assert main(["fuzz", "--trials", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "Traceback" not in out
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert doc["payload"]["code"] == "domain"
