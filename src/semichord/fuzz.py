@@ -3,13 +3,14 @@
 Every trial draws an arc partition and radius, builds the polygon, and
 makes four kinds of check: the general identity; the quadrilateral
 relation on each nested quadrilateral (1, k+1, k+2, n); the last-corner
-law-of-cosines step; and the diameter-solver round trip.  All four read
-one measurement of the sides, the diameter d and the cross-term chords,
-taken by the general identity's kernel, so each chord is measured once
-per trial; the corner check takes its five chords from it too.  The
-stress regime covers one extreme only: with a fixed probability one arc
-is forced tiny, so that two vertices nearly coincide.  Near-diameter
-sides, extreme radii and the quads layer are not drawn.
+law-of-cosines step; and the diameter-solver round trip.  The first
+three come from ``identity._check_residuals``, which chooses each
+check's chords from one kernel pass over the trial's polygon; the
+solver runs on the sides it returns.  This module only draws, solves and
+tallies.  The stress regime covers one extreme only: with a fixed
+probability one arc is forced tiny, so that two vertices nearly
+coincide.  Near-diameter sides, extreme radii and the quads layer are
+not drawn.
 Failures are data, not exceptions, and the whole run is reproducible:
 the generator is splitmix64 (a 64-bit Weyl counter hashed through two
 xor-multiply rounds), implemented in pure integer arithmetic so streams
@@ -33,9 +34,8 @@ from .geometry import (
 from .identity import (
     _D_MAX,
     _D_MIN,
-    _corner_residual,
-    _general_identity,
-    _quadrilateral_residual,
+    _check_name,
+    _check_residuals,
     corner_identity_residual,  # noqa: F401  (rebound here by bench/spans.py)
     evaluate_general,  # noqa: F401  (rebound here by bench/spans.py)
     nested_quadrilateral_check,  # noqa: F401  (rebound here by bench/spans.py)
@@ -100,6 +100,9 @@ class FuzzConfig:
     tolerance_rel: float = 1e-9
 
     def __post_init__(self) -> None:
+        for name in ("trials", "n_min", "n_max", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise DomainError(f"{name} must be an integer")
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if not 3 <= self.n_min <= self.n_max <= 64:
@@ -136,6 +139,8 @@ def random_angles(n: int, gen: SplitMix64) -> CentralAngles:
     Draws n-1 positive uniform variates and rescales them to total pi;
     deterministic for a given generator state.
     """
+    if not isinstance(n, int):
+        raise DomainError("n must be an integer")
     if n < 3:
         raise DomainError("need at least 3 vertices")
     variates = [gen.next_positive_float() for _ in range(n - 1)]
@@ -156,21 +161,6 @@ def _stressed(angles: CentralAngles, gen: SplitMix64) -> CentralAngles:
     factor = (math.pi - tiny) / others
     rescaled = [tiny if i == target else a * factor for i, a in enumerate(arcs)]
     return CentralAngles(rescaled)
-
-
-def _check_name(index: int, n: int, count: int) -> str:
-    """Name of the check at ``index`` in an n-gon trial's ``count`` residuals.
-
-    The order is run_fuzz's: general, nested k = 1..n-3, corner (n >= 4),
-    solver round trip.
-    """
-    if index == 0:
-        return "general"
-    if index <= n - 3:
-        return f"nested k={index}"
-    if index == count - 1:
-        return "solver round trip"
-    return "corner"
 
 
 def _histogram(counts: dict[int | str, int]) -> dict[str, int]:
@@ -210,23 +200,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
             angles = _stressed(angles, gen)
         poly = vertices_from_angles(angles, radius)
 
-        # Every check reads the kernel's one measurement of the chords.
-        sides, d, _, rhs, chords = _general_identity(poly)
-        lhs = d * d
-        residuals = [abs(lhs - rhs) / lhs]
-        for first, side, second, _ in chords:
-            residuals.append(_quadrilateral_residual(first, side, second, d)[2])
-        if n >= 4:
-            # Corner P, Q, E = vertices n-3, n-2, n-1 (0-based): |PE| is
-            # cross term n-4's second chord, or for n = 4 the chord (1, 3).
-            if n >= 5:
-                pe = chords[n - 5][2]
-            else:
-                (x1, y1), _, (x3, y3) = poly.vertices[1:]
-                pe = math.hypot(x3 - x1, y3 - y1)
-            residuals.append(
-                _corner_residual(sides[n - 3], sides[n - 2], pe, chords[n - 4][0], d)
-            )
+        sides, residuals = _check_residuals(poly)
         solution = solve_diameter(sides)
         target_d = 2.0 * radius
         residuals.append(abs(solution.d - target_d) / target_d)
@@ -244,7 +218,11 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
                 worst_state = trial_state
             # Negated so that a nan residual fails it.
             if not residual <= tolerance:
-                name = _check_name(index, n, len(residuals))
+                name = (
+                    "solver round trip"
+                    if index == len(residuals) - 1
+                    else _check_name(index, n)
+                )
                 failures.append(
                     FuzzFailure(
                         description=(

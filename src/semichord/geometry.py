@@ -91,7 +91,9 @@ class InscribedPolygon:
                 raise InvalidAnglesError(f"vertex ({x!r}, {y!r}) is off the circle")
             if y < -tol:
                 raise InvalidAnglesError(f"vertex ({x!r}, {y!r}) is below the diameter")
-            angle = math.atan2(y, x)
+            # |y|: a vertex the check above lets sit just below the diameter
+            # at x < 0 reads near pi, not -pi.
+            angle = math.atan2(abs(y), x)
             # Non-increasing sweep from pi down to 0; ties = coincident vertices.
             if angle > prev_angle + ARC_SUM_TOL:
                 raise InvalidAnglesError("vertices must descend in polar angle")

@@ -156,8 +156,8 @@ def _general_identity(
     (k+1, k+2) and ``second`` the chord (k+2, n); they are the short
     sides of nested quadrilateral k, measured with ``math.hypot``
     straight from the vertex coordinates, the same arithmetic as
-    ``diagonal``.  ``evaluate_general`` wraps this; ``run_fuzz`` reads
-    it directly.
+    ``diagonal``.  ``evaluate_general`` wraps this; ``_check_residuals``
+    and ``corner_identity_residual`` read it directly.
     """
     pts = poly.vertices
     x0, y0 = pts[0]
@@ -248,29 +248,48 @@ def corner_identity_residual(poly: InscribedPolygon) -> float:
     For the last three vertices P, Q, E (E the right diameter endpoint),
     Thales' theorem turns the cosine at Q into a ratio of chords from
     the first vertex:  |PE|^2 = |PQ|^2 + |QE|^2 + 2|PQ||QE|·|A1P|/|A1E|.
-    Needs at least 4 vertices.  This measures the five chords and hands
-    them to ``_corner_residual``; ``run_fuzz`` hands it the same chords,
-    bit for bit, read from the general identity's kernel.
+    Needs at least 4 vertices.  Computed as in ``_check_residuals``.
     """
-    n = poly.n
-    if n < 4:
+    if poly.n < 4:
         raise IndexError("corner identity needs at least 4 vertices")
-    p, q, e = n - 3, n - 2, n - 1
-    return _corner_residual(
-        diagonal(poly, p, q),
-        diagonal(poly, q, e),
-        diagonal(poly, p, e),
-        diagonal(poly, 0, p),
-        diagonal(poly, 0, e),
-    )
+    sides, d, _, _, chords = _general_identity(poly)
+    return _corner(poly.vertices, sides, d, chords)
 
 
-def _corner_residual(pq: float, qe: float, pe: float, ap: float, ae: float) -> float:
-    """The corner relation's arithmetic on its five chords; ``ae`` is d."""
-    if not _D_MIN <= ae <= _D_MAX:
-        raise DomainError(_OUT_OF_WINDOW)
+def _corner(pts, sides: list[float], d: float, chords: list) -> float:
+    """The corner relation on the kernel's measurement of n >= 4 vertices.
+
+    |PQ| and |QE| are the last two sides, |A1P| is the last cross term's
+    first chord and |A1E| is d; |PE| is measured here.
+    """
+    (xp, yp), (xe, ye) = pts[-3], pts[-1]
+    pe = math.hypot(xe - xp, ye - yp)
+    pq, qe, ap = sides[-2], sides[-1], chords[-1][0]
     lhs = pe * pe
-    if lhs == 0.0:
-        return 0.0
-    rhs = pq * pq + qe * qe + 2.0 * pq * qe * ap / ae
-    return abs(lhs - rhs) / lhs
+    rhs = pq * pq + qe * qe + 2.0 * pq * qe * ap / d
+    return abs(lhs - rhs) / lhs if lhs else 0.0
+
+
+def _check_residuals(poly: InscribedPolygon) -> tuple[list[float], list[float]]:
+    """The sides and each check's relative residual, from one kernel call.
+
+    In order: the general identity, nested quadrilateral k = 1..n-3 and,
+    for n >= 4, the corner, as ``_check_name`` names them.
+    """
+    sides, d, _, rhs, chords = _general_identity(poly)
+    lhs = d * d
+    residuals = [abs(lhs - rhs) / lhs]
+    for first, side, second, _ in chords:
+        residuals.append(_quadrilateral_residual(first, side, second, d)[2])
+    if chords:
+        residuals.append(_corner(poly.vertices, sides, d, chords))
+    return sides, residuals
+
+
+def _check_name(index: int, n: int) -> str:
+    """Name of the residual at ``index`` of an n-gon's ``_check_residuals``."""
+    if index == 0:
+        return "general"
+    if index <= n - 3:
+        return f"nested k={index}"
+    return "corner"

@@ -225,6 +225,8 @@ def arcs_from_sides(sides, d: float) -> list[float]:
 
 def inscribe_from_sides(sides) -> InscribedPolygon:
     """Solve the diameter, then realize the polygon on its semicircle."""
+    # Both steps read the sides, so a one-shot iterable is read once.
+    sides = tuple(sides)
     solution = solve_diameter(sides)
     arcs = arcs_from_sides(sides, solution.d)
     return vertices_from_angles(CentralAngles(arcs), 0.5 * solution.d)

@@ -79,6 +79,10 @@ class TestRandomAngles:
         with pytest.raises(DomainError):
             random_angles(2, SplitMix64(0))
 
+    def test_rejects_float_n(self):
+        with pytest.raises(DomainError):
+            random_angles(4.0, SplitMix64(0))
+
 
 class TestFuzzConfig:
     @pytest.mark.parametrize(
@@ -95,6 +99,11 @@ class TestFuzzConfig:
             {"radius_max": 1e120},
             {"radius_max": 2.0**330},
             {"radius_min": 2.0**-332},
+            # Integer fields given a float.
+            {"trials": 1e4},
+            {"n_min": 3.0},
+            {"n_max": 12.0},
+            {"seed": 1.5},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -211,8 +220,8 @@ class TestChecksMatchThePublicApi:
     def test_listed_residuals_equal_the_public_calls(self, seed, monkeypatch):
         self._assert_listed_equal_public(monkeypatch, seed=seed, n_max=64)
 
-    # run_fuzz reads the corner chord |PE| from the kernel for n >= 5 and
-    # measures it for n = 4; pin both branches.
+    # n = 4 is the fewest vertices with a corner check, whose |A1P| is
+    # then the kernel's only cross-term chord; pin it and n = 5.
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("seed", range(10))
     def test_corner_branches_equal_the_public_call(self, n, seed, monkeypatch):

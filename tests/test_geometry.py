@@ -140,6 +140,30 @@ class TestInscribedPolygonValidation:
         with pytest.raises(InvalidAnglesError):
             InscribedPolygon(1.0, ((-1.0, 0.0), a, b, (1.0, 0.0)))
 
+    # A vertex up to the tolerance below the diameter is accepted; at
+    # x < 0 its polar angle must still read near pi, not near -pi.
+    def test_accepts_vertex_just_below_left_end(self):
+        poly = InscribedPolygon(1.0, ((-1.0, -1e-13), (0.0, 1.0), (1.0, 0.0)))
+        assert poly.n == 3
+
+    def test_mirror_keeps_vertex_just_below_diameter(self):
+        poly = vertices_from_angles(
+            CentralAngles([1.0, math.pi - 1.0 + 0.9e-12, 0.0]), 1.0
+        )
+        assert -1e-12 < poly.vertices[2][1] < 0.0
+        flipped = mirror(poly)
+        assert flipped.vertices == tuple((-x, y) for x, y in poly.vertices[::-1])
+
+    # Polar angles that ascend by 1e-6 next to either end of the diameter.
+    @pytest.mark.parametrize(
+        "first, second", [(math.pi - 2e-6, math.pi - 1e-6), (1e-6, 2e-6)]
+    )
+    def test_rejects_reversed_pair_near_an_end(self, first, second):
+        a = (math.cos(first), math.sin(first))
+        b = (math.cos(second), math.sin(second))
+        with pytest.raises(InvalidAnglesError):
+            InscribedPolygon(1.0, ((-1.0, 0.0), a, b, (1.0, 0.0)))
+
 
 class TestSideLengths:
     def test_right_triangle(self):

@@ -1,13 +1,14 @@
-"""The general identity's kernel carries the nested quadrilaterals' chords.
+"""The general identity's kernel carries every check's chords.
 
-``run_fuzz`` reads the general identity, every ``nested k=...`` residual
-and the solver's sides from one call of ``identity._general_identity``,
-the kernel ``evaluate_general`` wraps, instead of calling
-``evaluate_general``, ``nested_quadrilateral_check`` and ``side_lengths``.
-That is only sound if the kernel agrees with the public report and the
-cross-term chords and residuals agree with the nested check bit for bit,
-which these tests check on random polygons, some with one arc forced
-tiny (two vertices nearly coincide).
+``identity._check_residuals`` reads the general identity, every nested
+quadrilateral and the last-corner residual from one call of
+``identity._general_identity``, the kernel ``evaluate_general`` wraps, and
+``run_fuzz`` takes them and the solver's sides from it.  That is only
+sound if the kernel agrees with the public report, the cross-term chords
+and residuals agree with the nested check bit for bit, and the corner
+residual agrees with the corner relation on chords measured by
+``diagonal``, the coordinate oracle.  These tests check that on random
+polygons, some with one arc forced tiny (two vertices nearly coincide).
 """
 
 import math
@@ -17,13 +18,18 @@ from hypothesis import strategies as st
 
 from semichord import (
     CentralAngles,
+    corner_identity_residual,
     diagonal,
     evaluate_general,
     nested_quadrilateral_check,
     side_lengths,
     vertices_from_angles,
 )
-from semichord.identity import _general_identity, _quadrilateral_residual
+from semichord.identity import (
+    _check_residuals,
+    _general_identity,
+    _quadrilateral_residual,
+)
 
 
 @st.composite
@@ -50,6 +56,15 @@ def polygons(draw, min_n=4, max_n=64):
 
 STRESSED_PENTAGON = vertices_from_angles(
     CentralAngles([1e-9, 1.0, 1.0, math.pi - 2.0 - 1e-9]), 3.0
+)
+
+STRESSED_QUADRILATERAL = vertices_from_angles(
+    CentralAngles([1.0, 1e-9, math.pi - 1.0 - 1e-9]), 2.0
+)
+
+#: The last three vertices coincide, so the corner's |PE| is zero.
+COLLAPSED_CORNER = vertices_from_angles(
+    CentralAngles([math.pi / 2, math.pi / 2, 0.0, 0.0]), 1.0
 )
 
 
@@ -96,3 +111,32 @@ def test_kernel_equals_the_report_fields(poly):
         (t.first_diagonal, t.side, t.second_diagonal, t.term_value)
         for t in report.cross_terms
     ]
+
+
+def _corner_on_measured_chords(poly):
+    """The corner relation on its five chords, each measured by ``diagonal``."""
+    p, q, e = poly.n - 3, poly.n - 2, poly.n - 1
+    pq, qe, pe = diagonal(poly, p, q), diagonal(poly, q, e), diagonal(poly, p, e)
+    ap, ae = diagonal(poly, 0, p), diagonal(poly, 0, e)
+    lhs = pe * pe
+    if lhs == 0.0:
+        return 0.0
+    rhs = pq * pq + qe * qe + 2.0 * pq * qe * ap / ae
+    return abs(lhs - rhs) / lhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(polygons())
+@example(STRESSED_QUADRILATERAL)
+@example(STRESSED_PENTAGON)
+@example(COLLAPSED_CORNER)
+def test_check_residuals_are_the_public_checks(poly):
+    corner = corner_identity_residual(poly)
+    assert corner == _corner_on_measured_chords(poly)
+    sides, residuals = _check_residuals(poly)
+    assert sides == side_lengths(poly)
+    expected = [evaluate_general(poly).residual_rel]
+    expected += [
+        nested_quadrilateral_check(poly, k).residual_rel for k in range(1, poly.n - 2)
+    ]
+    assert residuals == [*expected, corner]

@@ -257,6 +257,10 @@ class TestInscribeFromSides:
             assert x == pytest.approx(math.cos(theta), abs=1e-12)
             assert y == pytest.approx(math.sin(theta), abs=1e-12)
 
+    def test_one_shot_iterable_gives_the_list_result(self):
+        sides = [3.0, 4.0, 2.5]
+        assert inscribe_from_sides(x for x in sides) == inscribe_from_sides(sides)
+
     def test_counterexample_sides_do_inscribe(self):
         poly = inscribe_from_sides(COUNTEREXAMPLE_SIDES)
         assert diagonal(poly, 0, 3) == pytest.approx(4.0 * SQRT2, rel=1e-11)
