@@ -6,11 +6,18 @@ a side.  The canonical parametrization is the list of central angles
 (arcs) subtended by the short sides; arcs make the semicircle constraint
 linear (they sum to a half turn) and every identity in this package is
 testable by construction from them.
+
+A polygon placed from arcs is validated once, where it enters:
+``CentralAngles`` checks the arc partition, and ``vertices_from_angles``
+then checks only the radius and the lowest vertex, falling back to the
+full per-vertex validator for a subnormal radius or a vertex below the
+diameter.  An ``InscribedPolygon`` built directly checks every vertex.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidAnglesError
@@ -30,15 +37,18 @@ class CentralAngles:
     arcs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple(map(float, self.arcs)))
-        if len(self.arcs) < 2:
+        arcs = tuple(map(float, self.arcs))
+        object.__setattr__(self, "arcs", arcs)
+        if len(arcs) < 2:
             raise InvalidAnglesError("need at least 2 arcs (3 vertices)")
-        if any(a < 0.0 for a in self.arcs):
-            raise InvalidAnglesError("arcs must be non-negative")
         try:
-            total = math.fsum(self.arcs)
-        except OverflowError:
+            total = math.fsum(arcs)
+        except (OverflowError, ValueError):  # finite overflow; inf + -inf
             total = math.inf
+        # min() can pass over a negative arc behind a nan, so it stands in
+        # for the scan only when the finite sum shows every arc is finite.
+        if min(arcs) < 0.0 if math.isfinite(total) else any(a < 0.0 for a in arcs):
+            raise InvalidAnglesError("arcs must be non-negative")
         # Negated so that a nan arc, which makes the sum nan, fails it.
         if not abs(total - math.pi) <= ARC_SUM_TOL:
             if not math.isfinite(total):
@@ -46,7 +56,8 @@ class CentralAngles:
             raise InvalidAnglesError(
                 f"arcs must sum to pi, got {total!r} (off by {total - math.pi:.3e})"
             )
-        if sum(1 for a in self.arcs if a > 0.0) < 2:
+        # Every arc is finite and non-negative here, so the rest are positive.
+        if len(arcs) - arcs.count(0.0) < 2:
             raise InvalidAnglesError("at least two arcs must be strictly positive")
 
     def __len__(self) -> int:
@@ -74,6 +85,8 @@ class InscribedPolygon:
         R = self.radius
         if not 0.0 < 2.0 * R < math.inf:
             raise DomainError("radius must be positive with a finite diameter")
+        R = float(R)
+        object.__setattr__(self, "radius", R)
         pts = self.vertices
         if len(pts) < 3:
             raise InvalidAnglesError("polygon needs at least 3 vertices")
@@ -144,16 +157,41 @@ def vertices_from_angles(angles: CentralAngles, radius: float) -> InscribedPolyg
     Vertex k sits at polar angle pi minus the sum of the first k arcs.
     The diameter endpoints are snapped exactly onto (-R, 0) and (R, 0);
     the arc-sum invariant bounds the snap below the vertex tolerance.
-    ``InscribedPolygon`` rejects a radius that is not positive or whose
-    diameter 2R is not finite.
+    A radius that is not positive or whose diameter 2R is not finite
+    raises ``DomainError``.
+
+    ``CentralAngles`` has validated the arcs, so the placed vertices lie
+    on the circle and descend in polar angle by construction, and the
+    polygon is built without re-running ``InscribedPolygon``'s per-vertex
+    checks.  Placement proves them only for a normal R (below it, R*cos
+    and R*sin lose the relative precision the on-circle check needs) and
+    with no vertex below the diameter.  The polar angle only falls, so
+    the last interior vertex is the lowest.  When it is below the
+    diameter (a last arc within ~1e-12 of 0), when R is subnormal, or
+    when ``angles`` is not a ``CentralAngles``, the full validator runs,
+    so every input is accepted or rejected exactly as by
+    ``InscribedPolygon(R, vertices)``.
     """
-    pts = [(-radius, 0.0)]
+    pts = [(-radius, 0.0)]  # replaced by the float endpoint below
     theta = math.pi
     for arc in angles.arcs[:-1]:
         theta -= arc
         pts.append((radius * math.cos(theta), radius * math.sin(theta)))
-    pts.append((radius, 0.0))
-    return InscribedPolygon(radius, tuple(pts))
+    R = float(radius)
+    if not 0.0 < 2.0 * R < math.inf:
+        raise DomainError("radius must be positive with a finite diameter")
+    pts[0] = (-R, 0.0)
+    pts.append((R, 0.0))
+    if (
+        pts[-2][1] < 0.0
+        or R < sys.float_info.min
+        or not isinstance(angles, CentralAngles)
+    ):
+        return InscribedPolygon(R, tuple(pts))
+    poly = object.__new__(InscribedPolygon)
+    object.__setattr__(poly, "radius", R)
+    object.__setattr__(poly, "vertices", tuple(pts))
+    return poly
 
 
 def side_lengths(poly: InscribedPolygon) -> list[float]:

@@ -1,23 +1,32 @@
 """Tests for the semicircle coordinate layer."""
 
 import math
+import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from semichord import (
     CentralAngles,
     ChordSet,
     DomainError,
+    FuzzConfig,
     InscribedPolygon,
     InvalidAnglesError,
+    SplitMix64,
     chord_from_angle,
     diagonal,
     mirror,
+    random_angles,
+    run_fuzz,
     side_lengths,
     vertices_from_angles,
 )
+from semichord import fuzz
+from semichord.geometry import ARC_SUM_TOL
 
 
 @st.composite
@@ -86,6 +95,27 @@ class TestCentralAngles:
         angles = CentralAngles([0.0, math.pi / 2, math.pi / 2])
         assert angles.n_vertices == 4
 
+    # Which message wins must not depend on where a nan sits among the
+    # arcs: a negative arc is reported before a non-finite sum.
+    @pytest.mark.parametrize(
+        "arcs, message",
+        [
+            ([math.nan, -1.0, math.pi], "arcs must be non-negative"),
+            ([-1.0, math.nan, math.pi], "arcs must be non-negative"),
+            ([math.inf, -math.inf, 1.0], "arcs must be non-negative"),
+            ([-math.inf, math.inf, 1.0], "arcs must be non-negative"),
+            ([1e308, 1e308, -1e308], "arcs must be non-negative"),
+            ([math.nan, 1.0, math.pi], "arcs must be finite and sum to pi"),
+            ([1.0, math.inf], "arcs must be finite and sum to pi"),
+            ([1e308, 1e308], "arcs must be finite and sum to pi"),
+            ([-0.0, math.pi, 0.0], "at least two arcs must be strictly positive"),
+        ],
+    )
+    def test_message_for_mixed_bad_arcs(self, arcs, message):
+        with pytest.raises(InvalidAnglesError) as info:
+            CentralAngles(arcs)
+        assert str(info.value) == message
+
 
 class TestVerticesFromAngles:
     def test_isoceles_right_triangle(self):
@@ -119,6 +149,21 @@ class TestVerticesFromAngles:
     def test_bad_radius(self):
         with pytest.raises(DomainError):
             vertices_from_angles(CentralAngles([math.pi / 2, math.pi / 2]), 0.0)
+
+    # Both construction paths store the radius as a float, so they give
+    # equal polygons whatever real number type the radius came in as.
+    @pytest.mark.parametrize("radius", [2, True, Fraction(3, 2)])
+    def test_radius_stored_as_float(self, radius):
+        poly = vertices_from_angles(CentralAngles([1.0, math.pi - 1.0]), radius)
+        direct = InscribedPolygon(radius, poly.vertices)
+        assert type(poly.radius) is float and type(direct.radius) is float
+        assert poly.radius == direct.radius == float(radius)
+        assert poly == direct
+
+    def test_unvalidated_arcs_are_checked_by_the_validator(self):
+        arcs = SimpleNamespace(arcs=(2.0, -0.5, math.pi - 1.5))
+        with pytest.raises(InvalidAnglesError, match="descend in polar angle"):
+            vertices_from_angles(arcs, 1.0)
 
 
 class TestInscribedPolygonValidation:
@@ -275,3 +320,98 @@ def test_diagonals_match_summed_arcs(angles, radius):
             spanned = math.fsum(angles.arcs[i:j])
             expected = chord_from_angle(min(spanned, math.pi), radius)
             assert abs(diagonal(poly, i, j) - expected) <= 1e-12 * radius
+
+
+def _placed(angles, radius):
+    """The vertices ``vertices_from_angles`` places, without its checks."""
+    pts = [(-radius, 0.0)]
+    theta = math.pi
+    for arc in angles.arcs[:-1]:
+        theta -= arc
+        pts.append((radius * math.cos(theta), radius * math.sin(theta)))
+    pts.append((radius, 0.0))
+    return tuple(pts)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except Exception as exc:  # compared by class and message below
+        return type(exc), str(exc)
+
+
+@st.composite
+def edge_partitions(st_draw):
+    """Arc partitions with zero arcs and a last-arc-0 sum near pi + ARC_SUM_TOL."""
+    n = st_draw(st.integers(min_value=3, max_value=64))
+    weights = st_draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1.0)),
+            min_size=n - 1,
+            max_size=n - 1,
+        )
+    )
+    total = math.fsum(weights)
+    if total == 0.0:
+        reject()
+    arcs = [math.pi * w / total for w in weights]
+    if st_draw(st.booleans()):
+        arcs[-1] = 0.0
+        k = st_draw(st.integers(min_value=0, max_value=n - 3))
+        excess = st_draw(st.floats(min_value=-1.1, max_value=1.1)) * ARC_SUM_TOL
+        arcs[k] += math.pi + excess - math.fsum(arcs)
+    return arcs
+
+
+edge_radii = st.one_of(
+    st.floats(min_value=5e-324, max_value=sys.float_info.max / 2),
+    st.sampled_from([2.0**-1022, 2.0**-1030, 2.0**-1035, 5e-324, 1e-312]),
+)
+
+_gen = SplitMix64(5)
+_STRESSED = fuzz._stressed(random_angles(12, _gen), _gen).arcs
+_LAST_ZERO_64 = [math.pi / 62] * 61
+
+
+# vertices_from_angles skips the per-vertex validator where placement
+# proves it; it must reject and accept exactly what the validator does.
+@given(arcs=edge_partitions(), radius=edge_radii)
+@settings(max_examples=300, deadline=None)
+# Last arc 0, sum within ARC_SUM_TOL: the lowest vertex just above and
+# just below -VERTEX_TOL * R.
+@example(arcs=[*_LAST_ZERO_64, math.pi / 62 + 9.95e-13, 0.0], radius=1.0)
+@example(arcs=[*_LAST_ZERO_64, math.pi / 62 + 9.96e-13, 0.0], radius=1.0)
+@example(arcs=[1.0, math.pi - 1.0 + 0.9e-12, 0.0], radius=3.0)
+@example(arcs=[math.pi / 3] * 3, radius=2.0**-1022)
+@example(arcs=[math.pi / 9] * 9, radius=2.0**-1030)
+@example(arcs=[math.pi / 9] * 9, radius=2.0**-1035)
+@example(arcs=[math.pi / 9] * 9, radius=5e-324)
+@example(arcs=[math.pi / 9] * 9, radius=2.0**1000)
+@example(arcs=[math.pi / 9] * 9, radius=sys.float_info.max / 2)
+@example(arcs=[0.5e-6, math.pi - 1e-6, 0.5e-6], radius=1.0)
+@example(arcs=list(_STRESSED), radius=7.0)
+@example(arcs=[math.pi / 63] * 63, radius=1.0)
+def test_placement_validates_like_the_validator(arcs, radius):
+    try:
+        angles = CentralAngles(arcs)
+    except InvalidAnglesError:
+        reject()
+    placed = _outcome(lambda: vertices_from_angles(angles, radius))
+    validated = _outcome(lambda: InscribedPolygon(radius, _placed(angles, radius)))
+    assert placed == validated
+
+
+def test_fuzz_polygons_pass_the_validator(monkeypatch):
+    built = []
+
+    def place(angles, radius):
+        poly = vertices_from_angles(angles, radius)
+        built.append(poly)
+        return poly
+
+    monkeypatch.setattr(fuzz, "vertices_from_angles", place)
+    for seed in range(8):
+        run_fuzz(FuzzConfig(trials=150, n_max=64, seed=seed))
+    assert len(built) == 8 * 150
+    for poly in built:
+        assert InscribedPolygon(poly.radius, poly.vertices) == poly
