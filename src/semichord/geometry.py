@@ -7,11 +7,14 @@ a side.  The canonical parametrization is the list of central angles
 linear (they sum to a half turn) and every identity in this package is
 testable by construction from them.
 
+A radius must be a real number, at least the smallest normal float
+(below it R*cos and R*sin lose the precision the on-circle check needs),
+with a finite diameter 2R; ``_radius`` is the one place that checks it.
 A polygon placed from arcs is validated once, where it enters:
 ``CentralAngles`` checks the arc partition, and ``vertices_from_angles``
 then checks only the radius and the lowest vertex, falling back to the
-full per-vertex validator for a subnormal radius or a vertex below the
-diameter.  An ``InscribedPolygon`` built directly checks every vertex.
+full per-vertex validator for a vertex below the diameter.  An
+``InscribedPolygon`` built directly checks every vertex.
 """
 
 from __future__ import annotations
@@ -30,6 +33,16 @@ ARC_SUM_TOL = 1e-12
 VERTEX_TOL = 1e-12
 
 
+def _radius(radius: float) -> float:
+    """``radius`` as a float; the one check every radius in the package meets."""
+    try:
+        if sys.float_info.min <= radius and 2.0 * radius < math.inf:
+            return float(radius)
+    except (TypeError, OverflowError):  # str, None, complex, Decimal, 10**400
+        raise DomainError("radius must be a real number") from None
+    raise DomainError("radius must be a positive normal float with a finite diameter")
+
+
 @dataclass(frozen=True, slots=True)
 class CentralAngles:
     """Partition of the half turn into n-1 non-negative arcs (n >= 3)."""
@@ -37,7 +50,10 @@ class CentralAngles:
     arcs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        arcs = tuple(map(float, self.arcs))
+        try:
+            arcs = tuple(map(float, self.arcs))
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidAnglesError("arcs must be real numbers") from None
         object.__setattr__(self, "arcs", arcs)
         if len(arcs) < 2:
             raise InvalidAnglesError("need at least 2 arcs (3 vertices)")
@@ -79,15 +95,13 @@ class InscribedPolygon:
     vertices: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "vertices", tuple((float(x), float(y)) for x, y in self.vertices)
-        )
-        R = self.radius
-        if not 0.0 < 2.0 * R < math.inf:
-            raise DomainError("radius must be positive with a finite diameter")
-        R = float(R)
+        R = _radius(self.radius)
         object.__setattr__(self, "radius", R)
-        pts = self.vertices
+        try:
+            pts = tuple((float(x), float(y)) for x, y in self.vertices)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidAnglesError("vertices must be pairs of real numbers") from None
+        object.__setattr__(self, "vertices", pts)
         if len(pts) < 3:
             raise InvalidAnglesError("polygon needs at least 3 vertices")
         tol = VERTEX_TOL * R
@@ -144,11 +158,10 @@ def chord_from_angle(arc: float, radius: float) -> float:
     Monotone increasing in ``arc`` on [0, pi]; the half-turn chord is the
     diameter.
     """
-    if not 0.0 < 2.0 * radius < math.inf:
-        raise DomainError("radius must be positive with a finite diameter")
+    R = _radius(radius)
     if not 0.0 <= arc <= math.pi:
         raise DomainError("arc must lie in [0, pi]")
-    return 2.0 * radius * math.sin(0.5 * arc)
+    return 2.0 * R * math.sin(0.5 * arc)
 
 
 def vertices_from_angles(angles: CentralAngles, radius: float) -> InscribedPolygon:
@@ -157,36 +170,27 @@ def vertices_from_angles(angles: CentralAngles, radius: float) -> InscribedPolyg
     Vertex k sits at polar angle pi minus the sum of the first k arcs.
     The diameter endpoints are snapped exactly onto (-R, 0) and (R, 0);
     the arc-sum invariant bounds the snap below the vertex tolerance.
-    A radius that is not positive or whose diameter 2R is not finite
-    raises ``DomainError``.
+    A radius that is not real, is below the smallest normal float or has
+    no finite diameter 2R raises ``DomainError`` before any placement.
 
     ``CentralAngles`` has validated the arcs, so the placed vertices lie
     on the circle and descend in polar angle by construction, and the
     polygon is built without re-running ``InscribedPolygon``'s per-vertex
-    checks.  Placement proves them only for a normal R (below it, R*cos
-    and R*sin lose the relative precision the on-circle check needs) and
-    with no vertex below the diameter.  The polar angle only falls, so
-    the last interior vertex is the lowest.  When it is below the
-    diameter (a last arc within ~1e-12 of 0), when R is subnormal, or
-    when ``angles`` is not a ``CentralAngles``, the full validator runs,
-    so every input is accepted or rejected exactly as by
+    checks.  Placement proves them only with no vertex below the
+    diameter.  The polar angle only falls, so the last interior vertex is
+    the lowest.  When it is below the diameter (a last arc within ~1e-12
+    of 0), or when ``angles`` is not a ``CentralAngles``, the full
+    validator runs, so every input is accepted or rejected exactly as by
     ``InscribedPolygon(R, vertices)``.
     """
-    pts = [(-radius, 0.0)]  # replaced by the float endpoint below
+    R = _radius(radius)
+    pts = [(-R, 0.0)]
     theta = math.pi
     for arc in angles.arcs[:-1]:
         theta -= arc
-        pts.append((radius * math.cos(theta), radius * math.sin(theta)))
-    R = float(radius)
-    if not 0.0 < 2.0 * R < math.inf:
-        raise DomainError("radius must be positive with a finite diameter")
-    pts[0] = (-R, 0.0)
+        pts.append((R * math.cos(theta), R * math.sin(theta)))
     pts.append((R, 0.0))
-    if (
-        pts[-2][1] < 0.0
-        or R < sys.float_info.min
-        or not isinstance(angles, CentralAngles)
-    ):
+    if pts[-2][1] < 0.0 or not isinstance(angles, CentralAngles):
         return InscribedPolygon(R, tuple(pts))
     poly = object.__new__(InscribedPolygon)
     object.__setattr__(poly, "radius", R)

@@ -95,6 +95,10 @@ class TestCentralAngles:
         angles = CentralAngles([0.0, math.pi / 2, math.pi / 2])
         assert angles.n_vertices == 4
 
+    def test_numeric_string_arcs_convert(self):
+        angles = CentralAngles(["1.0", repr(math.pi - 1.0)])
+        assert angles.arcs == (1.0, math.pi - 1.0)
+
     # Which message wins must not depend on where a nan sits among the
     # arcs: a negative arc is reported before a non-finite sum.
     @pytest.mark.parametrize(

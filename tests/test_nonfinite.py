@@ -1,9 +1,11 @@
-"""nan and inf inputs are rejected with a coded error, never carried along.
+"""nan, inf and non-real inputs are rejected with a coded error, never carried along.
 
 Range guards are negated comparisons that bound a value on both sides
 (``0 < s < inf``), so nan and inf fail them; a radius is bounded through
-its diameter 2R, which must be finite, and the closed forms and the fuzz
-radius range through the identity's diameter window.  On the command
+its diameter 2R, which must be finite, and from below by the smallest
+normal float, and the closed forms and the fuzz radius range through the
+identity's diameter window.  An input that is not a real number (a str,
+None, a complex) is rejected with the same codes.  On the command
 line such input exits 1 with an error code and prints no ``nan`` or
 ``inf`` token; so does a payload that would carry one.
 """
@@ -11,6 +13,7 @@ line such input exits 1 with an error code and prints no ``nan`` or
 import json
 import math
 import re
+from decimal import Decimal
 
 import pytest
 
@@ -40,6 +43,8 @@ NAN = math.nan
 INF = math.inf
 HALF = math.pi / 2
 TRIANGLE = ((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0))
+# Radii float arithmetic cannot take: not real, a Decimal, past the float range.
+NON_REAL = ["1.0", None, 1j, Decimal("1"), pytest.param(10**400, id="10**400")]
 
 NONFINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
@@ -53,6 +58,10 @@ class TestCentralAngles:
             [INF, HALF],
             [INF, NAN],
             [1e308, 1e308],
+            ["x", HALF, HALF],
+            [None, HALF, HALF],
+            [1j, HALF, HALF],
+            [10**400, HALF],
         ],
     )
     def test_non_finite_partition_rejected(self, arcs):
@@ -67,13 +76,26 @@ class TestCentralAngles:
 
 class TestInscribedPolygon:
     # 1e308 is finite, but its diameter 2R overflows.
-    @pytest.mark.parametrize("radius", [NAN, INF, -INF, 1e308])
+    @pytest.mark.parametrize("radius", [NAN, INF, -INF, 1e308, *NON_REAL])
     def test_non_finite_radius_rejected(self, radius):
         with pytest.raises(DomainError):
             InscribedPolygon(radius, TRIANGLE)
 
     @pytest.mark.parametrize(
-        "vertex", [(NAN, 1.0), (0.0, NAN), (INF, 1.0), (0.0, INF)]
+        "vertex",
+        [
+            (NAN, 1.0),
+            (0.0, NAN),
+            (INF, 1.0),
+            (0.0, INF),
+            ("x", 1.0),
+            (0.0, None),
+            (1j, 1.0),
+            (0.0, 10**400),
+            (0.0,),
+            (0.0, 1.0, 0.0),
+            None,
+        ],
     )
     def test_non_finite_vertex_rejected(self, vertex):
         with pytest.raises(InvalidAnglesError):
@@ -86,15 +108,33 @@ class TestInscribedPolygon:
 
 
 class TestRadiusArguments:
-    @pytest.mark.parametrize("radius", [NAN, INF, 1e308])
+    @pytest.mark.parametrize("radius", [NAN, INF, 1e308, *NON_REAL])
     def test_vertices_from_angles_rejects_non_finite_radius(self, radius):
         with pytest.raises(DomainError):
             vertices_from_angles(CentralAngles([HALF, HALF]), radius)
 
-    @pytest.mark.parametrize("radius", [NAN, INF, 1e308])
+    @pytest.mark.parametrize("radius", [NAN, INF, 1e308, *NON_REAL])
     def test_chord_from_angle_rejects_non_finite_radius(self, radius):
         with pytest.raises(DomainError):
             chord_from_angle(HALF, radius)
+
+    # Below the smallest normal float R*cos and R*sin lose the precision
+    # the on-circle check needs, so no radius entry point takes one.
+    @pytest.mark.parametrize("radius", [2.0**-1023, 2.0**-1030, 5e-324])
+    def test_subnormal_radius_rejected(self, radius):
+        triangle = tuple((radius * x, radius * y) for x, y in TRIANGLE)
+        with pytest.raises(DomainError):
+            vertices_from_angles(CentralAngles([HALF, HALF]), radius)
+        with pytest.raises(DomainError):
+            InscribedPolygon(radius, triangle)
+        with pytest.raises(DomainError):
+            chord_from_angle(HALF, radius)
+
+    def test_smallest_normal_radius_accepted(self):
+        radius = 2.0**-1022
+        poly = vertices_from_angles(CentralAngles([HALF, HALF]), radius)
+        assert InscribedPolygon(radius, poly.vertices) == poly
+        assert chord_from_angle(math.pi, radius) == 2.0 * radius
 
     def test_largest_radius_with_a_finite_diameter_accepted(self):
         radius = math.nextafter(2.0**1023, 0.0)
@@ -297,6 +337,8 @@ class TestCli:
             (["construct", "inf,1,1"], "domain"),
             (["construct", "1,nan,1"], "domain"),
             (["render", "90,90", "--radius", "1e308", "--out", "d.svg"], "domain"),
+            (["verify", "30,60,90", "--radius", "1e-312"], "domain"),
+            (["render", "30,60,90", "--radius", "1e-312", "--out", "d.svg"], "domain"),
             (["fuzz", "--trials", "50", "--radius-max", "1e120"], "domain"),
         ],
     )

@@ -21,10 +21,12 @@ from semichord import (
     InscribedPolygon,
     InvalidAnglesError,
     arc_sum,
+    closing_side,
     corner_identity_residual,
     diagonal,
     diameter_cubic,
     evaluate_general,
+    inscribe_from_sides,
     nested_quadrilateral_check,
     rhs_hexagon,
     rhs_pentagon,
@@ -93,6 +95,15 @@ def test_extreme_ratios_solve_finitely(sides):
     assert math.isfinite(solution.d)
     assert solution.arc_sum_residual <= 1e-12
     _assert_certificate(solution, sides)
+
+
+# The diameter solves at this scale, but its radius is subnormal, and no
+# chord or vertex is placed on a subnormal radius.
+def test_subnormal_radius_is_a_domain_error():
+    with pytest.raises(DomainError):
+        inscribe_from_sides([1e-310, 1e-310])
+    with pytest.raises(DomainError):
+        closing_side(1e-310, 1e-310, 3e-310)
 
 
 def test_overflowing_diameter_is_a_domain_error():
