@@ -13,6 +13,10 @@ chord from vertex k+2 to vertex n.  Closed forms for 4, 5, and 6
 vertices are provided alongside the general evaluator; diagonals are
 always measured from coordinates here, never solved from sides, so the
 evaluators stay independent of the diameter solver.
+
+Each relation of the proof has one home: ``rhs_quadrilateral`` is the
+4-vertex relation on every nested quadrilateral, and ``_check_residuals``
+forms the law-of-cosines step at the last corner.
 """
 
 from __future__ import annotations
@@ -62,11 +66,15 @@ class IdentityReport:
     residual_rel: float
 
 
-def _require_non_negative(names: str, bound: str, limit: float, *values: float) -> None:
-    """Raise for the first value not in [0, limit], named by its letter.
+def _check_lengths(names: str, bound: str, d: float, *values: float) -> None:
+    """Raise unless d is in the window and each value lies in [0, 2^10 d].
 
-    ``bound`` names ``limit`` in the message, e.g. "2^10 d".
+    A bad value is named by its letter; ``bound`` names 2^10 d in the
+    message, e.g. "2^11 R".
     """
+    if not _D_MIN <= d <= _D_MAX:
+        raise DomainError(_OUT_OF_WINDOW)
+    limit = _LENGTH_HEADROOM * d
     for name, value in zip(names, values):
         if not 0.0 <= value < math.inf:
             raise DomainError(f"{name} must be non-negative and finite")
@@ -80,28 +88,14 @@ def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
     Symmetric in (a, b, c).  With any short side zero this collapses to
     the right-triangle sum of two squares.
     """
-    if not _D_MIN <= d <= _D_MAX:
-        raise DomainError(_OUT_OF_WINDOW)
     # Checked inline: run_fuzz reaches this once per nested quadrilateral.
     limit = _LENGTH_HEADROOM * d
-    if not (0.0 <= a <= limit and 0.0 <= b <= limit and 0.0 <= c <= limit):
-        _require_non_negative("abc", "2^10 d", limit, a, b, c)
+    if not (
+        _D_MIN <= d <= _D_MAX and 0.0 <= a <= limit and 0.0 <= b <= limit
+        and 0.0 <= c <= limit
+    ):
+        _check_lengths("abc", "2^10 d", d, a, b, c)
     return a * a + b * b + c * c + 2.0 * a * b * c / d
-
-
-def _quadrilateral_residual(
-    a: float, b: float, c: float, d: float
-) -> tuple[float, float, float]:
-    """Right side, absolute and relative residual of the 4-vertex identity.
-
-    The relative residual is |d^2 - rhs| / d^2.  The single code path for
-    the quadrilateral relation: ``nested_quadrilateral_check`` and
-    ``run_fuzz`` (on the chords of a cross term) both call it.
-    """
-    rhs = rhs_quadrilateral(a, b, c, d)
-    lhs = d * d
-    residual_abs = abs(lhs - rhs)
-    return rhs, residual_abs, residual_abs / lhs
 
 
 def rhs_pentagon(
@@ -113,10 +107,7 @@ def rhs_pentagon(
     chord from the third to the last.  All four squared short sides
     appear in the sum; the cross terms are (a*b*y + x*c*d)/R.
     """
-    if not _D_MIN <= 2.0 * R <= _D_MAX:
-        raise DomainError(_OUT_OF_WINDOW)
-    limit = _LENGTH_HEADROOM * 2.0 * R
-    _require_non_negative("abcdxy", "2^11 R", limit, a, b, c, d, x, y)
+    _check_lengths("abcdxy", "2^11 R", 2.0 * R, a, b, c, d, x, y)
     return a * a + b * b + c * c + d * d + (a * b * y + x * c * d) / R
 
 
@@ -137,10 +128,7 @@ def rhs_hexagon(
     Diagonals: ``y`` joins vertices 1-3, ``u`` joins 1-4, ``z`` joins
     3-6, ``x`` joins 4-6.  Cross terms are (a*b*z + y*c*x + u*d*e)/R.
     """
-    if not _D_MIN <= 2.0 * R <= _D_MAX:
-        raise DomainError(_OUT_OF_WINDOW)
-    limit = _LENGTH_HEADROOM * 2.0 * R
-    _require_non_negative("abcdexyzu", "2^11 R", limit, a, b, c, d, e, x, y, z, u)
+    _check_lengths("abcdexyzu", "2^11 R", 2.0 * R, a, b, c, d, e, x, y, z, u)
     return a * a + b * b + c * c + d * d + e * e + (a * b * z + y * c * x + u * d * e) / R
 
 
@@ -157,7 +145,7 @@ def _general_identity(
     sides of nested quadrilateral k, measured with ``math.hypot``
     straight from the vertex coordinates, the same arithmetic as
     ``diagonal``.  ``evaluate_general`` wraps this; ``_check_residuals``
-    and ``corner_identity_residual`` read it directly.
+    reads it directly.
     """
     pts = poly.vertices
     x0, y0 = pts[0]
@@ -230,15 +218,17 @@ def nested_quadrilateral_check(poly: InscribedPolygon, k: int) -> IdentityReport
     b = diagonal(poly, k, k + 1)
     c = diagonal(poly, k + 1, n - 1)
     d = diagonal(poly, 0, n - 1)
-    rhs, residual_abs, residual_rel = _quadrilateral_residual(a, b, c, d)
+    rhs = rhs_quadrilateral(a, b, c, d)
+    lhs = d * d
+    residual_abs = abs(lhs - rhs)
     return IdentityReport(
         n=4,
-        lhs=d * d,
+        lhs=lhs,
         sum_of_squares=a * a + b * b + c * c,
         cross_terms=(CrossTerm(1, a, b, c, a * b * c),),
         rhs=rhs,
         residual_abs=residual_abs,
-        residual_rel=residual_rel,
+        residual_rel=residual_abs / lhs,
     )
 
 
@@ -248,41 +238,33 @@ def corner_identity_residual(poly: InscribedPolygon) -> float:
     For the last three vertices P, Q, E (E the right diameter endpoint),
     Thales' theorem turns the cosine at Q into a ratio of chords from
     the first vertex:  |PE|^2 = |PQ|^2 + |QE|^2 + 2|PQ||QE|·|A1P|/|A1E|.
-    Needs at least 4 vertices.  Computed as in ``_check_residuals``.
+    Needs at least 4 vertices; the last residual of ``_check_residuals``.
     """
     if poly.n < 4:
         raise IndexError("corner identity needs at least 4 vertices")
-    sides, d, _, _, chords = _general_identity(poly)
-    return _corner(poly.vertices, sides, d, chords)
-
-
-def _corner(pts, sides: list[float], d: float, chords: list) -> float:
-    """The corner relation on the kernel's measurement of n >= 4 vertices.
-
-    |PQ| and |QE| are the last two sides, |A1P| is the last cross term's
-    first chord and |A1E| is d; |PE| is measured here.
-    """
-    (xp, yp), (xe, ye) = pts[-3], pts[-1]
-    pe = math.hypot(xe - xp, ye - yp)
-    pq, qe, ap = sides[-2], sides[-1], chords[-1][0]
-    lhs = pe * pe
-    rhs = pq * pq + qe * qe + 2.0 * pq * qe * ap / d
-    return abs(lhs - rhs) / lhs if lhs else 0.0
+    return _check_residuals(poly)[1][-1]
 
 
 def _check_residuals(poly: InscribedPolygon) -> tuple[list[float], list[float]]:
     """The sides and each check's relative residual, from one kernel call.
 
     In order: the general identity, nested quadrilateral k = 1..n-3 and,
-    for n >= 4, the corner, as ``_check_name`` names them.
+    for n >= 4, the corner, as ``_check_name`` names them.  Each nested
+    right side is ``rhs_quadrilateral``'s; the corner relation is formed
+    here, on the kernel's sides and chords and |PE| from the vertices.
     """
     sides, d, _, rhs, chords = _general_identity(poly)
     lhs = d * d
     residuals = [abs(lhs - rhs) / lhs]
     for first, side, second, _ in chords:
-        residuals.append(_quadrilateral_residual(first, side, second, d)[2])
+        residuals.append(abs(lhs - rhs_quadrilateral(first, side, second, d)) / lhs)
     if chords:
-        residuals.append(_corner(poly.vertices, sides, d, chords))
+        (xp, yp), (xe, ye) = poly.vertices[-3], poly.vertices[-1]
+        pe = math.hypot(xe - xp, ye - yp)
+        pq, qe = sides[-2], sides[-1]
+        pe_sq = pe * pe
+        corner_rhs = pq * pq + qe * qe + 2.0 * pq * qe * chords[-1][0] / d
+        residuals.append(abs(pe_sq - corner_rhs) / pe_sq if pe_sq else 0.0)
     return sides, residuals
 
 

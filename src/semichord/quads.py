@@ -132,23 +132,6 @@ def enumerate_incongruent_quads(a: float, b: float, c: float) -> list[QuadArrang
     return arrangements
 
 
-def _circle_intersection_upper(
-    p: tuple[float, float], rp: float, q: tuple[float, float], rq: float
-) -> tuple[float, float]:
-    """Intersection of two circles, picking the higher of the two points."""
-    ex, ey = q[0] - p[0], q[1] - p[1]
-    dist = math.hypot(ex, ey)
-    along = (rp * rp - rq * rq + dist * dist) / (2.0 * dist)
-    height_sq = rp * rp - along * along
-    if height_sq < 0.0:
-        raise DomainError("circles do not intersect")
-    height = math.sqrt(height_sq)
-    ux, uy = ex / dist, ey / dist
-    first = (p[0] + along * ux - height * uy, p[1] + along * uy + height * ux)
-    second = (p[0] + along * ux + height * uy, p[1] + along * uy - height * ux)
-    return first if first[1] >= second[1] else second
-
-
 def counterexample_report() -> CounterexampleReport:
     """Check the built-in quadrilateral that defeats the naive converse.
 
@@ -165,15 +148,7 @@ def counterexample_report() -> CounterexampleReport:
     c = 3.0 - math.sqrt(5.0)
     d = 4.0 * math.sqrt(2.0)
 
-    first = (0.0, 0.0)
-    last = (d, 0.0)
-    corner = (0.0, a)  # right angle at the first vertex
-    third = _circle_intersection_upper(corner, b, last, c)
-    if (
-        abs(math.hypot(third[0] - corner[0], third[1] - corner[1]) - b) > 1e-9
-        or abs(math.hypot(third[0] - last[0], third[1] - last[1]) - c) > 1e-9
-    ):
-        raise DomainError("counterexample construction failed to close")
+    corner = (0.0, a)  # right angle at the first vertex, (0, 0)
 
     relation_residual = abs(d * d - rhs_quadrilateral(a, b, c, d))
     center = (0.5 * d, 0.0)

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .geometry import CentralAngles, InscribedPolygon, vertices_from_angles
+from .geometry import CentralAngles, InscribedPolygon, _radius, vertices_from_angles
 
 #: Cap on Newton steps; monotone descent settles in well under ten.
 MAX_ITERATIONS = 200
@@ -228,5 +228,7 @@ def inscribe_from_sides(sides) -> InscribedPolygon:
     # Both steps read the sides, so a one-shot iterable is read once.
     sides = tuple(sides)
     solution = solve_diameter(sides)
+    # A subnormal d/2 is a domain error, checked before the arcs it can degenerate.
+    radius = _radius(0.5 * solution.d)
     arcs = arcs_from_sides(sides, solution.d)
-    return vertices_from_angles(CentralAngles(arcs), 0.5 * solution.d)
+    return vertices_from_angles(CentralAngles(arcs), radius)

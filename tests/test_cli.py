@@ -80,6 +80,11 @@ class TestSolve:
         assert code == 1
         assert doc["payload"]["code"] == "domain"
 
+    def test_no_numbers_is_a_parse_error(self, capsys):
+        code, doc = run_json(capsys, "solve", ",")
+        assert code == 1
+        assert doc["payload"]["code"] == "parse"
+
 
 class TestConstruct:
     def test_all_equal(self, capsys):

@@ -171,6 +171,10 @@ class TestVerticesFromAngles:
 
 
 class TestInscribedPolygonValidation:
+    def test_rejects_two_vertices(self):
+        with pytest.raises(InvalidAnglesError, match="at least 3 vertices"):
+            InscribedPolygon(1.0, ((-1.0, 0.0), (1.0, 0.0)))
+
     def test_rejects_off_circle_vertex(self):
         with pytest.raises(InvalidAnglesError):
             InscribedPolygon(1.0, ((-1.0, 0.0), (0.5, 0.5), (1.0, 0.0)))

@@ -22,14 +22,11 @@ from semichord import (
     diagonal,
     evaluate_general,
     nested_quadrilateral_check,
+    rhs_quadrilateral,
     side_lengths,
     vertices_from_angles,
 )
-from semichord.identity import (
-    _check_residuals,
-    _general_identity,
-    _quadrilateral_residual,
-)
+from semichord.identity import _check_residuals, _general_identity
 
 
 @st.composite
@@ -87,9 +84,10 @@ def test_cross_term_chords_are_the_nested_quadrilateral_sides(poly):
 def test_cross_term_residual_equals_nested_check(poly):
     d = diagonal(poly, 0, poly.n - 1)
     for t in evaluate_general(poly).cross_terms:
-        rhs, residual_abs, residual_rel = _quadrilateral_residual(
-            t.first_diagonal, t.side, t.second_diagonal, d
-        )
+        # The arithmetic _check_residuals applies to each cross term.
+        rhs = rhs_quadrilateral(t.first_diagonal, t.side, t.second_diagonal, d)
+        residual_abs = abs(d * d - rhs)
+        residual_rel = residual_abs / (d * d)
         report = nested_quadrilateral_check(poly, t.k)
         assert rhs == report.rhs
         assert residual_abs == report.residual_abs

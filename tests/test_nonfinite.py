@@ -340,6 +340,8 @@ class TestCli:
             (["verify", "30,60,90", "--radius", "1e-312"], "domain"),
             (["render", "30,60,90", "--radius", "1e-312", "--out", "d.svg"], "domain"),
             (["fuzz", "--trials", "50", "--radius-max", "1e120"], "domain"),
+            (["verify", "5e-324,5e-324"], "domain"),
+            (["render", "5e-324,5e-324", "--out", "d.svg"], "domain"),
         ],
     )
     @pytest.mark.parametrize("fmt", ["json", "text"])

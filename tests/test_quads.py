@@ -272,6 +272,14 @@ class TestCounterexampleReport:
         assert report.off_circle_distance == pytest.approx(expected, rel=1e-12)
         assert 0.33 <= report.off_circle_distance <= 0.34
 
+    def test_planar_quadrilateral_closes(self):
+        # From the corner (0, sqrt(2)) to the far end (4 sqrt(2), 0) is
+        # sqrt(34), and sides b and c can span it: |b - c| < sqrt(34) < b + c.
+        b, c = 3.0 + SQRT5, 3.0 - SQRT5
+        gap = math.hypot(4.0 * SQRT2 - 0.0, 0.0 - SQRT2)
+        assert gap == pytest.approx(math.sqrt(34.0), rel=1e-15)
+        assert abs(b - c) < gap < b + c  # 4.47 < 5.83 < 6
+
     def test_inscribable_variant(self):
         report = counterexample_report()
         assert report.inscribable_variant_d == pytest.approx(4.0 * SQRT2, rel=1e-12)

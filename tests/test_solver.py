@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from semichord import (
     CentralAngles,
+    ConvergenceError,
     DomainError,
     arc_sum,
     arcs_from_sides,
@@ -19,7 +20,7 @@ from semichord import (
     solve_diameter,
     vertices_from_angles,
 )
-from semichord.solver import _arc_total, _ratio
+from semichord.solver import _arc_total, _newton_descent, _ratio
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -175,6 +176,15 @@ class TestNewtonStart:
         assert abs(solution.d - expected) <= math.ulp(expected)
         assert arc_sum(solution.bracket_low, sides) >= math.pi
         assert arc_sum(solution.bracket_high, sides) <= math.pi
+
+    def test_descent_that_never_settles_raises_with_its_bracket(self):
+        # A constant positive value with a huge slope moves x down by 1e-10
+        # a step, so the descent runs into the step cap.
+        with pytest.raises(ConvergenceError) as info:
+            _newton_descent(lambda x: (1.0, 1e10), 1.0, 0.0)
+        assert info.value.code == "no_convergence"
+        assert info.value.bracket_low == 0.0
+        assert info.value.bracket_high < 1.0
 
 
 def _bumped_sides(d, ratios, bumps):
