@@ -15,7 +15,7 @@ always measured from coordinates here, never solved from sides, so the
 evaluators stay independent of the diameter solver.
 
 Each relation of the proof has one home: ``rhs_quadrilateral`` is the
-4-vertex relation on every nested quadrilateral, and ``_check_residuals``
+4-vertex relation on every nested quadrilateral, and ``_corner_residual``
 forms the law-of-cosines step at the last corner.
 """
 
@@ -238,11 +238,29 @@ def corner_identity_residual(poly: InscribedPolygon) -> float:
     For the last three vertices P, Q, E (E the right diameter endpoint),
     Thales' theorem turns the cosine at Q into a ratio of chords from
     the first vertex:  |PE|^2 = |PQ|^2 + |QE|^2 + 2|PQ||QE|·|A1P|/|A1E|.
-    Needs at least 4 vertices; the last residual of ``_check_residuals``.
+    Needs at least 4 vertices; equal to the last residual of
+    ``_check_residuals``, but runs none of the nested checks.
     """
     if poly.n < 4:
         raise IndexError("corner identity needs at least 4 vertices")
-    return _check_residuals(poly)[1][-1]
+    sides, d, _, _, chords = _general_identity(poly)
+    return _corner_residual(poly, sides, d, chords[-1][0])
+
+
+def _corner_residual(
+    poly: InscribedPolygon, sides: list[float], d: float, a1p: float
+) -> float:
+    """The last-corner relation's relative residual, given |A1P| and d.
+
+    ``sides`` and ``a1p`` come from ``_general_identity``; |PE| is
+    measured here from the vertices.
+    """
+    (xp, yp), (xe, ye) = poly.vertices[-3], poly.vertices[-1]
+    pe = math.hypot(xe - xp, ye - yp)
+    pq, qe = sides[-2], sides[-1]
+    pe_sq = pe * pe
+    corner_rhs = pq * pq + qe * qe + 2.0 * pq * qe * a1p / d
+    return abs(pe_sq - corner_rhs) / pe_sq if pe_sq else 0.0
 
 
 def _check_residuals(poly: InscribedPolygon) -> tuple[list[float], list[float]]:
@@ -250,8 +268,7 @@ def _check_residuals(poly: InscribedPolygon) -> tuple[list[float], list[float]]:
 
     In order: the general identity, nested quadrilateral k = 1..n-3 and,
     for n >= 4, the corner, as ``_check_name`` names them.  Each nested
-    right side is ``rhs_quadrilateral``'s; the corner relation is formed
-    here, on the kernel's sides and chords and |PE| from the vertices.
+    right side is ``rhs_quadrilateral``'s, the corner's ``_corner_residual``'s.
     """
     sides, d, _, rhs, chords = _general_identity(poly)
     lhs = d * d
@@ -259,12 +276,7 @@ def _check_residuals(poly: InscribedPolygon) -> tuple[list[float], list[float]]:
     for first, side, second, _ in chords:
         residuals.append(abs(lhs - rhs_quadrilateral(first, side, second, d)) / lhs)
     if chords:
-        (xp, yp), (xe, ye) = poly.vertices[-3], poly.vertices[-1]
-        pe = math.hypot(xe - xp, ye - yp)
-        pq, qe = sides[-2], sides[-1]
-        pe_sq = pe * pe
-        corner_rhs = pq * pq + qe * qe + 2.0 * pq * qe * chords[-1][0] / d
-        residuals.append(abs(pe_sq - corner_rhs) / pe_sq if pe_sq else 0.0)
+        residuals.append(_corner_residual(poly, sides, d, chords[-1][0]))
     return sides, residuals
 
 

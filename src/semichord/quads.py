@@ -73,10 +73,10 @@ def diameter_cubic(a: float, b: float, c: float) -> float:
     s = ca * ca + cb * cb + cc * cc
     p = 2.0 * ca * cb * cc
 
-    def h(u: float) -> tuple[float, float]:
-        return (u * u - s) * u - p, 3.0 * u * u - s
-
-    u, _, _ = _newton_descent(h, math.sqrt(s + p / math.sqrt(s)), 1.0)
+    u0 = math.sqrt(s + p / math.sqrt(s))
+    u, _, _ = _newton_descent(
+        lambda u: (u * u - s) * u - p, lambda u: 3.0 * u * u - s, u0, 1.0
+    )
     d = m * u
     if not math.isfinite(d):
         raise DomainError(f"sides {(a, b, c)!r} have no finite diameter")

@@ -22,11 +22,11 @@ terms), so t* <= 1 / sqrt(sum c_i^2); and asin x >= x on [0, 1], so
 g(t) >= 2 t sum c_i - pi and t* <= pi / (2 sum c_i).  The first bound
 is the tighter one for few uneven sides, the second for many sides.
 Newton's method from t0 falls monotonically onto the root without a
-bracketing phase.  Where a bound is exact, as for two sides, rounding
-may put t0 just left of the root; it is then returned at once, as
-accurate as that rounding.  The returned bracket is then certified in
-:func:`arc_sum`'s own arithmetic by stepping outward from d until the
-arc sum crosses pi.
+bracketing phase, taking g's slope only at the iterates it steps from.
+Where a bound is exact, as for two sides, rounding may put t0 just left
+of the root; it is then returned at once, as accurate as that rounding.
+The returned bracket is then certified in :func:`arc_sum`'s own
+arithmetic by stepping outward from d until the arc sum crosses pi.
 """
 
 from __future__ import annotations
@@ -105,22 +105,24 @@ def arc_sum(d: float, sides) -> float:
     return _arc_total(d, sides)
 
 
-def _newton_descent(f, x: float, floor: float) -> tuple[float, float, int]:
-    """Root of an increasing convex ``f`` by Newton's method from ``x``.
+def _newton_descent(value, slope, x: float, floor: float) -> tuple[float, float, int]:
+    """Root of an increasing convex function by Newton's method from ``x``.
 
-    ``x`` must lie right of the root and ``floor`` left of it; ``f``
-    returns its value and slope.  On an increasing convex function a
-    Newton step from the right never crosses the root, so the iterates
-    fall monotonically onto it (safeguarded Newton as in Press et al.,
-    Numerical Recipes, section 9.4, with convexity as the safeguard).
-    Stops at the first iterate whose value is no longer positive, or
-    when a step no longer moves x down: rounding at the root, or an
-    infinite slope.  Returns the iterate, its value and the step count.
+    ``x`` must lie right of the root and ``floor`` left of it; ``value``
+    and ``slope`` return the function and its derivative.  On an
+    increasing convex function a Newton step from the right never
+    crosses the root, so the iterates fall monotonically onto it
+    (safeguarded Newton as in Press et al., Numerical Recipes, section
+    9.4, with convexity as the safeguard).  Stops at the first iterate
+    whose value is no longer positive, or when a step no longer moves x
+    down: rounding at the root, or an infinite slope.  ``slope`` is
+    called only at an iterate of positive value, where a step is taken.
+    Returns the iterate, its value and the step count.
     """
-    value, slope = f(x)
+    fx = value(x)
     steps = 0
-    while value > 0.0:
-        nxt = x - value / slope
+    while fx > 0.0:
+        nxt = x - fx / slope(x)
         if not nxt < x:
             break
         if steps == MAX_ITERATIONS:
@@ -132,8 +134,8 @@ def _newton_descent(f, x: float, floor: float) -> tuple[float, float, int]:
             )
         steps += 1
         x = nxt
-        value, slope = f(x)
-    return x, value, steps
+        fx = value(x)
+    return x, fx, steps
 
 
 def _bracket_end(sides: tuple[float, ...], d: float, sign: float) -> float:
@@ -165,25 +167,32 @@ def solve_diameter(sides) -> DiameterSolution:
     sides = tuple(map(float, sides))
     if len(sides) < 2:
         raise DomainError("need at least 2 sides to form a polygon on the semicircle")
-    if not all(0.0 < s < math.inf for s in sides):
-        raise DomainError("all sides must be positive and finite")
     m = max(sides)
+    if not (0.0 < min(sides) and m < math.inf):
+        raise DomainError("all sides must be positive and finite")
     ratios = [a / m for a in sides]
+    ratio_sum = math.fsum(ratios)
+    if ratio_sum != ratio_sum:  # a nan side that min and max passed over
+        raise DomainError("all sides must be positive and finite")
 
-    def g(t: float) -> tuple[float, float]:
-        total = slope = 0.0
+    def g(t: float) -> float:
+        total = 0.0
+        for c in ratios:
+            total += math.asin(c * t)
+        return 2.0 * total - math.pi
+
+    def g_slope(t: float) -> float:
+        slope = 0.0
         for c in ratios:
             x = c * t
-            total += math.asin(x)
             gap = (1.0 - x) * (1.0 + x)
             slope += c / math.sqrt(gap) if gap > 0.0 else math.inf
-        return 2.0 * total - math.pi, 2.0 * slope
+        return 2.0 * slope
 
-    ratio_sum = math.fsum(ratios)
     t0 = min(
-        1.0 / math.sqrt(math.fsum(c * c for c in ratios)), 0.5 * math.pi / ratio_sum
+        1.0 / math.sqrt(math.fsum([c * c for c in ratios])), 0.5 * math.pi / ratio_sum
     )
-    t, residual, steps = _newton_descent(g, t0, 1.0 / ratio_sum)
+    t, residual, steps = _newton_descent(g, g_slope, t0, 1.0 / ratio_sum)
     d = m / t
     if not math.isfinite(d):
         raise DomainError(f"sides {sides!r} have no finite diameter")

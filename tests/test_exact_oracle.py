@@ -1,0 +1,75 @@
+"""Both Newton solvers against diameters known exactly, in ulps.
+
+The polygons come from :mod:`exact_polygons`: rational sides on a
+rational diameter.  The solvers see each side rounded to the nearest
+float.  d is homogeneous of degree 1 and increasing in every side, so
+its relative change is a weighted mean of the sides' relative changes;
+that input rounding alone moves d by about one ulp.  The rest is the
+solver's own error.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from exact_polygons import chord, random_polygon, random_qs, ulp_error
+from semichord import diameter_cubic, solve_diameter
+
+# Worst errors over seeds 0-9 of each test's draws below (200 polygons
+# with n in 3..64, or 500 quadrilaterals, per seed): 5.87 ulp for
+# solve_diameter and 2.21 ulp for diameter_cubic.  Each bound is about
+# 1.35 times that worst case.
+SOLVE_DIAMETER_ULPS = 8.0
+DIAMETER_CUBIC_ULPS = 3.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 33, 64])
+def test_oracle_satisfies_the_identity_exactly(n):
+    # d^2 = sum(s^2) + 2 sum_k D1_k s_k D2_k / d, in exact arithmetic.
+    rng = random.Random(n)
+    d = Fraction(rng.randrange(1, 2**30), rng.randrange(1, 2**30))
+    qs = random_qs(rng, n)
+    sides = [chord(qs[k], qs[k + 1], d) for k in range(n)]
+    cross = sum(
+        chord(qs[0], qs[k], d) * sides[k] * chord(qs[k + 1], qs[n], d)
+        for k in range(1, n - 1)
+    )
+    assert d * d == sum(s * s for s in sides) + 2 * cross / d
+    assert chord(qs[0], qs[n], d) == d
+
+
+def test_oracle_quadrilateral_is_a_root_of_the_cubic():
+    rng = random.Random(0)
+    for _ in range(20):
+        (a, b, c), d = random_polygon(rng, 3)
+        assert d**3 - (a * a + b * b + c * c) * d - 2 * a * b * c == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_solve_diameter_ulp_error(seed):
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(200):
+        sides, d = random_polygon(rng, rng.randint(3, 64))
+        solved = solve_diameter([float(s) for s in sides]).d
+        worst = max(worst, ulp_error(solved, d))
+    assert worst <= SOLVE_DIAMETER_ULPS
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_diameter_cubic_ulp_error(seed):
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(500):
+        sides, d = random_polygon(rng, 3)
+        worst = max(worst, ulp_error(diameter_cubic(*map(float, sides)), d))
+    assert worst <= DIAMETER_CUBIC_ULPS
+
+
+def test_ulp_error_counts_units_in_the_last_place():
+    exact = Fraction(1)
+    assert ulp_error(1.0, exact) == 0.0
+    assert ulp_error(math.nextafter(1.0, 2.0), exact) == 1.0
+    assert ulp_error(math.nextafter(1.0, 0.0), exact) == 0.5

@@ -30,6 +30,7 @@ from semichord import (
     chord_from_angle,
     closing_side,
     diameter_cubic,
+    inscribe_from_sides,
     rhs_hexagon,
     rhs_pentagon,
     rhs_quadrilateral,
@@ -243,6 +244,28 @@ class TestSolverSides:
         with pytest.raises(DomainError) as info:
             solve_diameter(sides)
         assert not NONFINITE_TOKEN.search(str(info.value))
+
+    # One bad side at every position of 3- and 5-side lists, the good
+    # sides ascending and descending: min and max pass over a nan that is
+    # not first, as in [1.0, nan, 2.0].
+    @pytest.mark.parametrize(
+        "good, position",
+        [
+            (good, position)
+            for good in (
+                [1.0, 2.0], [2.0, 1.0], [1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]
+            )
+            for position in range(len(good) + 1)
+        ],
+    )
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF, 0.0, -1.0])
+    @pytest.mark.parametrize("solve", [solve_diameter, inscribe_from_sides])
+    def test_bad_side_at_any_position_is_rejected(self, solve, bad, good, position):
+        sides = good[:position] + [bad] + good[position:]
+        with pytest.raises(DomainError) as info:
+            solve(sides)
+        assert str(info.value) == "all sides must be positive and finite"
+        assert info.value.code == "domain"
 
     @pytest.mark.parametrize("position", range(3))
     @pytest.mark.parametrize("bad", [NAN, INF, -INF])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from semichord import (
     CentralAngles,
     ConvergenceError,
+    DiameterSolution,
     DomainError,
     arc_sum,
     arcs_from_sides,
@@ -20,7 +21,7 @@ from semichord import (
     solve_diameter,
     vertices_from_angles,
 )
-from semichord.solver import _arc_total, _newton_descent, _ratio
+from semichord.solver import _arc_total, _bracket_end, _newton_descent, _ratio
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -181,10 +182,90 @@ class TestNewtonStart:
         # A constant positive value with a huge slope moves x down by 1e-10
         # a step, so the descent runs into the step cap.
         with pytest.raises(ConvergenceError) as info:
-            _newton_descent(lambda x: (1.0, 1e10), 1.0, 0.0)
+            _newton_descent(lambda x: 1.0, lambda x: 1e10, 1.0, 0.0)
         assert info.value.code == "no_convergence"
         assert info.value.bracket_low == 0.0
         assert info.value.bracket_high < 1.0
+
+    @pytest.mark.parametrize(
+        "value, slope_at, x0, expected, slope_calls",
+        [
+            # One exact step onto the root, where the value is 0: no slope there.
+            (lambda x: x - 1.0, 1.0, 3.0, (1.0, 0.0, 1), 1),
+            # The value stays positive at 1, where the step is below an ulp.
+            (lambda x: max(x - 1.0, 1e-300), 1.0, 3.0, (1.0, 1e-300, 1), 2),
+            # An infinite slope gives a zero step, so no step is taken.
+            (lambda x: 1.0, math.inf, 2.0, (2.0, 1.0, 0), 1),
+        ],
+    )
+    def test_slope_is_taken_only_where_a_step_is_tried(
+        self, value, slope_at, x0, expected, slope_calls
+    ):
+        calls = []
+
+        def slope(x):
+            calls.append(x)
+            return slope_at
+
+        x, fx, steps = _newton_descent(value, slope, x0, 0.0)
+        assert (x, fx, steps) == expected
+        # steps when it stops on a value <= 0, steps + 1 when x stops moving.
+        assert len(calls) == (steps if fx <= 0.0 else steps + 1) == slope_calls
+        assert all(value(at) > 0.0 for at in calls)
+
+    @given(
+        ratios=st.lists(
+            st.floats(min_value=2.0**-10, max_value=1.0), min_size=2, max_size=64
+        ),
+        k=st.integers(min_value=-1000, max_value=1000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_fused_descent_bit_for_bit(self, ratios, k):
+        sides = [math.ldexp(c, k) for c in ratios]
+        assert solve_diameter(sides) == _fused_solve(sides)
+
+
+def _fused_solve(sides):
+    """solve_diameter with value and slope in one closure, stepping as before.
+
+    Evaluates the slope at every iterate, the last one included; the
+    solver must agree with it bit for bit.
+    """
+    sides = tuple(sides)
+    m = max(sides)
+    ratios = [a / m for a in sides]
+
+    def g(t):
+        total = slope = 0.0
+        for c in ratios:
+            x = c * t
+            total += math.asin(x)
+            gap = (1.0 - x) * (1.0 + x)
+            slope += c / math.sqrt(gap) if gap > 0.0 else math.inf
+        return 2.0 * total - math.pi, 2.0 * slope
+
+    ratio_sum = math.fsum(ratios)
+    t = min(
+        1.0 / math.sqrt(math.fsum(c * c for c in ratios)), 0.5 * math.pi / ratio_sum
+    )
+    value, slope = g(t)
+    steps = 0
+    while value > 0.0:
+        nxt = t - value / slope
+        if not nxt < t:
+            break
+        steps += 1
+        t = nxt
+        value, slope = g(t)
+    d = m / t
+    excess = _arc_total(d, sides) - math.pi
+    return DiameterSolution(
+        d=d,
+        bracket_low=d if excess >= 0.0 else _bracket_end(sides, d, -1.0),
+        bracket_high=d if excess <= 0.0 else _bracket_end(sides, d, 1.0),
+        iterations=steps,
+        arc_sum_residual=abs(value),
+    )
 
 
 def _bumped_sides(d, ratios, bumps):
