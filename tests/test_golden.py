@@ -43,6 +43,8 @@ COMMANDS = {
     "render_55_55_70_radius_4": [
         "render", "55,55,70", "--radius", "4", "--out", SVG_NAME,
     ],
+    "verify_3_4_5_6": ["verify", "3,4,5,6"],
+    "render_3_4_5_6": ["render", "3,4,5,6", "--out", SVG_NAME],
 }
 
 #: Commands pinned on their error path; every other command exits 0.
