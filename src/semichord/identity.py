@@ -95,7 +95,7 @@ def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
         and 0.0 <= c <= limit
     ):
         _check_lengths("abc", "2^10 d", d, a, b, c)
-    return a * a + b * b + c * c + 2.0 * a * b * c / d
+    return a * a + b * b + c * c + 2 * a * b * c / d
 
 
 def rhs_pentagon(

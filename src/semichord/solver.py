@@ -25,8 +25,10 @@ Newton's method from t0 falls monotonically onto the root without a
 bracketing phase, taking g's slope only at the iterates it steps from.
 Where a bound is exact, as for two sides, rounding may put t0 just left
 of the root; it is then returned at once, as accurate as that rounding.
-The returned bracket is then certified in :func:`arc_sum`'s own
-arithmetic by stepping outward from d until the arc sum crosses pi.
+:func:`solve_diameter` then certifies a bracket around d in
+:func:`arc_sum`'s own arithmetic by stepping outward from d until the
+arc sum crosses pi.  It is the only function here that returns one;
+:func:`inscribe_from_sides` takes the same d without the certificate.
 """
 
 from __future__ import annotations
@@ -154,15 +156,12 @@ def _bracket_end(sides: tuple[float, ...], d: float, sign: float) -> float:
         step *= 2.0
 
 
-def solve_diameter(sides) -> DiameterSolution:
-    """Find the unique diameter on which the sides fill a semicircle.
+def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
+    """Diameter of the sides by monotone Newton, without a certificate.
 
-    Monotone Newton on t = max(sides) / d from the smaller of two upper
-    bounds on the root, max(sides) / sqrt(sum(a^2)) and
-    pi * max(sides) / (2 sum(a)) (see the module docstring), then the
-    bracket is certified around d.  Raises :class:`DomainError` for a
-    side that is not positive and finite, and when the diameter is not a
-    finite float, as when it overflows.
+    Returns the sides as the float tuple it checked, d, the final
+    normalised arc-sum residual and the Newton step count.  Raises as
+    :func:`solve_diameter` does.
     """
     sides = tuple(map(float, sides))
     if len(sides) < 2:
@@ -196,7 +195,20 @@ def solve_diameter(sides) -> DiameterSolution:
     d = m / t
     if not math.isfinite(d):
         raise DomainError(f"sides {sides!r} have no finite diameter")
+    return sides, d, residual, steps
 
+
+def solve_diameter(sides) -> DiameterSolution:
+    """Find the unique diameter on which the sides fill a semicircle.
+
+    Monotone Newton on t = max(sides) / d from the smaller of two upper
+    bounds on the root, max(sides) / sqrt(sum(a^2)) and
+    pi * max(sides) / (2 sum(a)) (see the module docstring), then the
+    bracket is certified around d.  Raises :class:`DomainError` for a
+    side that is not positive and finite, and when the diameter is not a
+    finite float, as when it overflows.
+    """
+    sides, d, residual, steps = _solve(sides)
     excess = _arc_total(d, sides) - math.pi
     return DiameterSolution(
         d=d,
@@ -233,11 +245,14 @@ def arcs_from_sides(sides, d: float) -> list[float]:
 
 
 def inscribe_from_sides(sides) -> InscribedPolygon:
-    """Solve the diameter, then realize the polygon on its semicircle."""
-    # Both steps read the sides, so a one-shot iterable is read once.
-    sides = tuple(sides)
-    solution = solve_diameter(sides)
+    """Solve the diameter, then realize the polygon on its semicircle.
+
+    Only :func:`solve_diameter` returns the certified bracket; this
+    takes the same d without building it.
+    """
+    # _solve returns the sides as a tuple, so a one-shot iterable is read once.
+    sides, d, _, _ = _solve(sides)
     # A subnormal d/2 is a domain error, checked before the arcs it can degenerate.
-    radius = _radius(0.5 * solution.d)
-    arcs = arcs_from_sides(sides, solution.d)
+    radius = _radius(0.5 * d)
+    arcs = arcs_from_sides(sides, d)
     return vertices_from_angles(CentralAngles(arcs), radius)

@@ -15,7 +15,14 @@ from fractions import Fraction
 import pytest
 
 from exact_polygons import chord, random_polygon, random_qs, ulp_error
-from semichord import diameter_cubic, solve_diameter
+from semichord import (
+    diameter_cubic,
+    inscribe_from_sides,
+    rhs_hexagon,
+    rhs_pentagon,
+    rhs_quadrilateral,
+    solve_diameter,
+)
 
 # Worst errors over seeds 0-9 of each test's draws below (200 polygons
 # with n in 3..64, or 500 quadrilaterals, per seed): 5.87 ulp for
@@ -40,6 +47,27 @@ def test_oracle_satisfies_the_identity_exactly(n):
     assert chord(qs[0], qs[n], d) == d
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_fixed_size_right_sides_are_exact_on_rational_chords(seed):
+    # v(i, j) is the exact chord between vertices i and j, numbered from 0.
+    rng = random.Random(seed)
+    for n in (3, 4, 5):
+        d = Fraction(rng.randrange(1, 2**30), rng.randrange(1, 2**30))
+        qs = random_qs(rng, n)
+
+        def v(i, j):
+            return chord(qs[i], qs[j], d)
+
+        sides = [v(k, k + 1) for k in range(n)]
+        if n == 3:
+            rhs = rhs_quadrilateral(*sides, d)
+        elif n == 4:
+            rhs = rhs_pentagon(*sides, d / 2, v(0, 2), v(2, 4))
+        else:
+            rhs = rhs_hexagon(*sides, d / 2, v(3, 5), v(0, 2), v(2, 5), v(0, 3))
+        assert rhs == d * d
+
+
 def test_oracle_quadrilateral_is_a_root_of_the_cubic():
     rng = random.Random(0)
     for _ in range(20):
@@ -53,7 +81,10 @@ def test_solve_diameter_ulp_error(seed):
     worst = 0.0
     for _ in range(200):
         sides, d = random_polygon(rng, rng.randint(3, 64))
-        solved = solve_diameter([float(s) for s in sides]).d
+        floats = [float(s) for s in sides]
+        solved = solve_diameter(floats).d
+        # The polygon is built on the same d, without the certificate.
+        assert 2 * inscribe_from_sides(floats).radius == solved
         worst = max(worst, ulp_error(solved, d))
     assert worst <= SOLVE_DIAMETER_ULPS
 

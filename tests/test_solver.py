@@ -21,6 +21,7 @@ from semichord import (
     solve_diameter,
     vertices_from_angles,
 )
+from semichord import solver
 from semichord.solver import _arc_total, _bracket_end, _newton_descent, _ratio
 
 SQRT2 = math.sqrt(2.0)
@@ -365,3 +366,77 @@ class TestInscribeFromSides:
         for given_side, measured in zip(sides, side_lengths(poly)):
             assert abs(measured - given_side) <= 1e-10 * d
         assert evaluate_general(poly).residual_rel <= 1e-10
+
+
+@st.composite
+def semicircle_sides(draw):
+    """Chords of a random arc partition: n in 2..64, radius 2^k with |k| <= 1000.
+
+    Half of the draws put one arc within 1e-6 of pi, so that one side is
+    close to the diameter.
+    """
+    n = draw(st.integers(min_value=2, max_value=64))
+    mantissa = draw(st.floats(min_value=1.0, max_value=2.0, exclude_max=True))
+    radius = math.ldexp(mantissa, draw(st.integers(min_value=-1000, max_value=1000)))
+    weights = draw(
+        st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=n, max_size=n)
+    )
+    if draw(st.booleans()):
+        gap = draw(st.floats(min_value=1e-9, max_value=1e-6))
+        total = math.fsum(weights[1:])
+        arcs = [gap * w / total for w in weights[1:]]
+        arcs.insert(draw(st.integers(min_value=0, max_value=n - 1)), math.pi - gap)
+    else:
+        total = math.fsum(weights)
+        arcs = [math.pi * w / total for w in weights]
+    return [2.0 * radius * math.sin(0.5 * arc) for arc in arcs]
+
+
+class TestInscribeSkipsTheCertificate:
+    """inscribe_from_sides takes solve_diameter's d without its bracket."""
+
+    @given(sides=semicircle_sides())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_polygon_composed_from_public_steps(self, sides):
+        d = solve_diameter(sides).d
+        composed = vertices_from_angles(CentralAngles(arcs_from_sides(sides, d)), d / 2)
+        assert inscribe_from_sides(sides) == composed
+
+    @pytest.mark.parametrize(
+        "sides, message",
+        [
+            ([1.0, math.nan], "all sides must be positive and finite"),
+            ([math.nan, 1.0], "all sides must be positive and finite"),
+            ([1.0, math.inf], "all sides must be positive and finite"),
+            ([1.0, 0.0], "all sides must be positive and finite"),
+            ([1.0, -1.0], "all sides must be positive and finite"),
+            (
+                [5e-324, 5e-324],
+                "radius must be a positive normal float with a finite diameter",
+            ),
+            (
+                [1e-310, 1e-310],
+                "radius must be a positive normal float with a finite diameter",
+            ),
+        ],
+    )
+    def test_errors_keep_their_class_code_and_message(self, sides, message):
+        with pytest.raises(DomainError) as info:
+            inscribe_from_sides(sides)
+        assert type(info.value) is DomainError
+        assert info.value.code == "domain"
+        assert str(info.value) == message
+
+    def test_only_solve_diameter_evaluates_the_arc_sum(self, monkeypatch):
+        calls = []
+
+        def counted(d, sides):
+            calls.append(d)
+            return _arc_total(d, sides)
+
+        monkeypatch.setattr(solver, "_arc_total", counted)
+        sides = [3.0, 4.0, 5.0, 6.0]
+        inscribe_from_sides(sides)
+        assert calls == []
+        solve_diameter(sides)
+        assert len(calls) >= 1
