@@ -82,13 +82,13 @@ def _cmd_construct(args: argparse.Namespace) -> _Result:
         "count": len(arrangements),
         "arrangements": [
             {
-                "ordered_sides": list(arr.ordered_sides),
+                "ordered_sides": arr.ordered_sides,
                 "middle_side": arr.middle_side,
                 "diagonals": {
                     "first": diagonal(arr.polygon, 0, 2),
                     "second": diagonal(arr.polygon, 1, 3),
                 },
-                "vertices": [list(v) for v in arr.polygon.vertices],
+                "vertices": arr.polygon.vertices,
             }
             for arr in arrangements
         ],
@@ -244,20 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("fuzz", _cmd_fuzz, "seeded randomized verification")
-    fuzz = FuzzConfig()
-    p.add_argument("--trials", type=int, default=fuzz.trials)
-    p.add_argument("--seed", type=int, default=fuzz.seed)
-    p.add_argument("--n-min", type=int, default=fuzz.n_min)
-    p.add_argument("--n-max", type=int, default=fuzz.n_max)
-    p.add_argument("--radius-min", type=float, default=fuzz.radius_min)
-    p.add_argument("--radius-max", type=float, default=fuzz.radius_max)
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=fuzz.tolerance_rel,
-        dest="tolerance_rel",
-        metavar="TOLERANCE",
-    )
+    for f in fields(FuzzConfig):
+        flag = "tolerance" if f.name == "tolerance_rel" else f.name
+        p.add_argument(
+            "--" + flag.replace("_", "-"),
+            type=type(f.default), default=f.default, dest=f.name, metavar=flag.upper(),
+        )
 
     p = command("render", _cmd_render, "write an SVG diagram", sides_or_arcs)
     p.add_argument("--radius", type=float, default=None, help=radius_help)

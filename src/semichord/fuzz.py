@@ -101,7 +101,8 @@ class FuzzConfig:
 
     def __post_init__(self) -> None:
         for name in ("trials", "n_min", "n_max", "seed"):
-            if not isinstance(getattr(self, name), int):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise DomainError(f"{name} must be an integer")
         if self.trials < 1:
             raise DomainError("trials must be at least 1")

@@ -17,11 +17,26 @@ import random
 from fractions import Fraction
 
 
+def sin_cos(q: Fraction) -> tuple[Fraction, Fraction]:
+    """Exact sin phi and cos phi at tan(phi/2) = q."""
+    return 2 * q / (1 + q * q), (1 - q * q) / (1 + q * q)
+
+
 def chord(q_i: Fraction, q_j: Fraction, d: Fraction) -> Fraction:
     """Exact chord between the vertices at tan(phi/2) = q_i and q_j."""
-    sin_i, cos_i = 2 * q_i / (1 + q_i * q_i), (1 - q_i * q_i) / (1 + q_i * q_i)
-    sin_j, cos_j = 2 * q_j / (1 + q_j * q_j), (1 - q_j * q_j) / (1 + q_j * q_j)
+    sin_i, cos_i = sin_cos(q_i)
+    sin_j, cos_j = sin_cos(q_j)
     return d * abs(sin_j * cos_i - cos_j * sin_i)
+
+
+def vertex(q: Fraction, radius: Fraction) -> tuple[Fraction, Fraction]:
+    """Exact vertex at tan(phi/2) = q on the circle of this radius.
+
+    Its polar angle is pi - 2 phi, so q = 0 gives (-radius, 0) and q = 1
+    gives (radius, 0): the vertex order of :class:`semichord.InscribedPolygon`.
+    """
+    s, c = sin_cos(q)
+    return -radius * (c * c - s * s), 2 * radius * s * c
 
 
 def random_qs(rng: random.Random, n: int) -> list[Fraction]:

@@ -2,14 +2,26 @@
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import pytest
 
-from semichord import FuzzConfig, run_fuzz
+from semichord import FuzzConfig, cli, run_fuzz
 from semichord.cli import _to_json, main
 
 SQRT2 = math.sqrt(2.0)
+
+#: Each FuzzConfig field's public flag, a valid non-default value as typed
+#: on the command line, and the value it must become in the config.
+FUZZ_FLAGS = {
+    "trials": ("--trials", "2", 2),
+    "n_min": ("--n-min", "4", 4),
+    "n_max": ("--n-max", "5", 5),
+    "radius_min": ("--radius-min", "1.5", 1.5),
+    "radius_max": ("--radius-max", "2.5", 2.5),
+    "seed": ("--seed", "7", 7),
+    "tolerance_rel": ("--tolerance", "1e-8", 1e-8),
+}
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +170,19 @@ class TestFuzzCommand:
         assert code == 0
         expected = asdict(run_fuzz(FuzzConfig(trials=3)))
         assert doc["payload"] == json.loads(_to_json(expected))
+
+    def test_flag_table_names_every_config_field(self):
+        assert list(FUZZ_FLAGS) == [f.name for f in fields(FuzzConfig)]
+
+    @pytest.mark.parametrize("field", FUZZ_FLAGS)
+    def test_each_flag_reaches_its_config_field(self, capsys, monkeypatch, field):
+        flag, text, value = FUZZ_FLAGS[field]
+        one_trial = run_fuzz(FuzzConfig(trials=1))
+        seen = []
+        monkeypatch.setattr(cli, "run_fuzz", lambda config: seen.append(config) or one_trial)
+        code, _ = run_cli(capsys, "fuzz", flag, text)
+        assert code == 0
+        assert seen == [replace(FuzzConfig(), **{field: value})]
 
 
 class TestRender:

@@ -14,9 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from exact_polygons import chord, random_polygon, random_qs, ulp_error
+from exact_polygons import chord, random_polygon, random_qs, ulp_error, vertex
 from semichord import (
+    InscribedPolygon,
     diameter_cubic,
+    evaluate_general,
     inscribe_from_sides,
     rhs_hexagon,
     rhs_pentagon,
@@ -26,10 +28,12 @@ from semichord import (
 
 # Worst errors over seeds 0-9 of each test's draws below (200 polygons
 # with n in 3..64, or 500 quadrilaterals, per seed): 5.87 ulp for
-# solve_diameter and 2.21 ulp for diameter_cubic.  Each bound is about
-# 1.35 times that worst case.
+# solve_diameter, 2.21 ulp for diameter_cubic and 5.0 ulp of d^2 for
+# evaluate_general's residual (seeds 1, 5 and 9).  Each bound is about
+# 1.35 to 1.4 times that worst case.
 SOLVE_DIAMETER_ULPS = 8.0
 DIAMETER_CUBIC_ULPS = 3.0
+EVALUATE_GENERAL_ULPS = 7.0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 33, 64])
@@ -97,6 +101,36 @@ def test_diameter_cubic_ulp_error(seed):
         sides, d = random_polygon(rng, 3)
         worst = max(worst, ulp_error(diameter_cubic(*map(float, sides)), d))
     assert worst <= DIAMETER_CUBIC_ULPS
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_evaluate_general_residual_in_ulps_of_d_squared(seed):
+    # The identity holds exactly on the exact vertices, so the residual
+    # is the rounding of the coordinates plus the evaluation's own error.
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(200):
+        n = rng.randint(3, 64)
+        radius = Fraction(rng.randrange(1, 2**30), rng.randrange(1, 2**30))
+        points = [vertex(q, radius) for q in random_qs(rng, n)]
+        poly = InscribedPolygon(float(radius), [(float(x), float(y)) for x, y in points])
+        report = evaluate_general(poly)
+        worst = max(worst, report.residual_abs / math.ulp(report.lhs))
+    assert worst <= EVALUATE_GENERAL_ULPS
+
+
+def test_exact_vertices_lie_on_the_circle_at_the_exact_chords():
+    rng = random.Random(0)
+    radius = Fraction(7, 3)
+    qs = random_qs(rng, 6)
+    points = [vertex(q, radius) for q in qs]
+    assert points[0] == (-radius, 0) and points[-1] == (radius, 0)
+    for i, (x_i, y_i) in enumerate(points):
+        assert x_i * x_i + y_i * y_i == radius * radius
+        for j in range(i + 1, len(points)):
+            x_j, y_j = points[j]
+            squared = (x_j - x_i) ** 2 + (y_j - y_i) ** 2
+            assert squared == chord(qs[i], qs[j], 2 * radius) ** 2
 
 
 def test_ulp_error_counts_units_in_the_last_place():

@@ -104,6 +104,9 @@ class TestFuzzConfig:
             {"n_min": 3.0},
             {"n_max": 12.0},
             {"seed": 1.5},
+            # bool is a subclass of int, but not an integer count or seed.
+            {"trials": True},
+            {"seed": False},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
