@@ -40,6 +40,9 @@ COMMANDS = {
         "fuzz", "--trials", "300", "--seed", "7", "--n-max", "64",
         "--tolerance", "5e-16",
     ],
+    "fuzz_trials_3000_n_max_64_seed_9": [
+        "fuzz", "--trials", "3000", "--n-max", "64", "--seed", "9",
+    ],
     "render_55_55_70_radius_4": [
         "render", "55,55,70", "--radius", "4", "--out", SVG_NAME,
     ],
