@@ -14,6 +14,7 @@ single ``{status, human_summary, payload}`` document it prints.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict, fields
 from functools import cache
@@ -280,7 +281,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             payload={"code": code, "message": str(exc)},
         )
         output = render(document)
-    print(output)
+    try:
+        # Flushed here so that a reader gone away raises inside the try.
+        print(output, flush=True)
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush writes nowhere instead of raising a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0 if document["status"] == "ok" else 1
 
 

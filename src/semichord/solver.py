@@ -28,7 +28,8 @@ of the root; it is then returned at once, as accurate as that rounding.
 :func:`solve_diameter` then certifies a bracket around d in
 :func:`arc_sum`'s own arithmetic by stepping outward from d until the
 arc sum crosses pi.  It is the only function here that returns one;
-:func:`inscribe_from_sides` takes the same d without the certificate.
+:func:`inscribe_from_sides` and the fuzz round trip take the same d
+from ``_solve`` without the certificate.
 """
 
 from __future__ import annotations
@@ -64,11 +65,29 @@ class DiameterSolution:
     arc_sum_residual: float
 
 
+def _floats(sides) -> tuple[float, ...]:
+    """``sides`` as a float tuple; a value that is not a real number is a domain error."""
+    try:
+        return tuple(map(float, sides))
+    except (TypeError, ValueError, OverflowError):  # None, "a", 10**400
+        raise DomainError("sides must be real numbers") from None
+
+
+def _diameter(d) -> float:
+    """``d`` as a float, checked positive and finite."""
+    try:
+        if 0.0 < d < math.inf:
+            return float(d)
+    except (TypeError, OverflowError):  # str, None, complex, 10**400
+        raise DomainError("diameter must be a real number") from None
+    raise DomainError("diameter must be positive and finite")
+
+
 def _ratio(a: float, d: float) -> float:
     """a/d for a positive finite side, with noise above 1 clamped to 1.
 
     Only ratios the callers cannot pass inline come here: a side above
-    d, or one that :func:`arcs_from_sides` has yet to check.
+    d, or one that :func:`_arcs` has yet to check.
     """
     if not 0.0 < a < math.inf:
         raise DomainError("sides must be positive and finite")
@@ -96,11 +115,10 @@ def arc_sum(d: float, sides) -> float:
     Ratios a/d infinitesimally above 1 (floating-point noise) are
     clamped; anything beyond the slack is a domain error.
     """
-    sides = tuple(map(float, sides))
+    sides = _floats(sides)
     if not sides:
         raise DomainError("need at least one side")
-    if not 0.0 < d < math.inf:
-        raise DomainError("diameter must be positive and finite")
+    d = _diameter(d)
     for a in sides:
         if not 0.0 <= a < math.inf:
             raise DomainError("sides must be non-negative and finite")
@@ -156,14 +174,14 @@ def _bracket_end(sides: tuple[float, ...], d: float, sign: float) -> float:
         step *= 2.0
 
 
-def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
+def _solve(sides) -> tuple[tuple[float, ...], float, float, float, int]:
     """Diameter of the sides by monotone Newton, without a certificate.
 
-    Returns the sides as the float tuple it checked, d, the final
-    normalised arc-sum residual and the Newton step count.  Raises as
-    :func:`solve_diameter` does.
+    Returns the sides as the float tuple it checked, the largest side,
+    d, the final normalised arc-sum residual and the Newton step count.
+    Raises as :func:`solve_diameter` does.
     """
-    sides = tuple(map(float, sides))
+    sides = _floats(sides)
     if len(sides) < 2:
         raise DomainError("need at least 2 sides to form a polygon on the semicircle")
     m = max(sides)
@@ -195,7 +213,7 @@ def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
     d = m / t
     if not math.isfinite(d):
         raise DomainError(f"sides {sides!r} have no finite diameter")
-    return sides, d, residual, steps
+    return sides, m, d, residual, steps
 
 
 def solve_diameter(sides) -> DiameterSolution:
@@ -208,7 +226,7 @@ def solve_diameter(sides) -> DiameterSolution:
     side that is not positive and finite, and when the diameter is not a
     finite float, as when it overflows.
     """
-    sides, d, residual, steps = _solve(sides)
+    sides, _, d, residual, steps = _solve(sides)
     excess = _arc_total(d, sides) - math.pi
     return DiameterSolution(
         d=d,
@@ -228,19 +246,26 @@ def arcs_from_sides(sides, d: float) -> list[float]:
     well-conditioned rounding.  Raises :class:`DomainError` for a side
     that is not positive and finite, or longer than d beyond the clamp.
     """
-    sides = tuple(map(float, sides))
+    sides = _floats(sides)
     if not sides:
         raise DomainError("need at least one side")
-    if not 0.0 < d < math.inf:
-        raise DomainError("diameter must be positive and finite")
+    d = _diameter(d)
+    return _arcs(sides, d, max(sides))
+
+
+def _arcs(sides: tuple[float, ...], d: float, widest: float) -> list[float]:
+    """:func:`arcs_from_sides` on a float tuple and a checked d.
+
+    ``widest`` is ``max(sides)``, whose arc is the complement.
+    """
     # A valid side has 0 < a <= d but for clamp noise; _ratio checks the rest.
     arcs = [
         2.0 * math.asin(a / d if 0.0 < a <= d else _ratio(a, d)) for a in sides
     ]
-    widest = sides.index(max(sides))
+    index = sides.index(widest)
     # fsum is correctly rounded, so the zeroed entry leaves the sum exact.
-    arcs[widest] = 0.0
-    arcs[widest] = math.pi - math.fsum(arcs)
+    arcs[index] = 0.0
+    arcs[index] = math.pi - math.fsum(arcs)
     return arcs
 
 
@@ -251,8 +276,8 @@ def inscribe_from_sides(sides) -> InscribedPolygon:
     takes the same d without building it.
     """
     # _solve returns the sides as a tuple, so a one-shot iterable is read once.
-    sides, d, _, _ = _solve(sides)
+    sides, m, d, _, _ = _solve(sides)
     # A subnormal d/2 is a domain error, checked before the arcs it can degenerate.
     radius = _radius(0.5 * d)
-    arcs = arcs_from_sides(sides, d)
+    arcs = _arcs(sides, d, m)
     return vertices_from_angles(CentralAngles(arcs), radius)

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from semichord import FuzzConfig, cli, run_fuzz
 from semichord.cli import _to_json, main
 
 SQRT2 = math.sqrt(2.0)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Each FuzzConfig field's public flag, a valid non-default value as typed
 #: on the command line, and the value it must become in the config.
@@ -234,3 +240,18 @@ class TestFormatting:
         assert code == 0
         assert "status = ok" in out
         assert "payload.d = 5" in out
+
+
+class TestClosedStdout:
+    def test_reader_gone_exits_1_without_a_traceback(self):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "semichord.cli", "construct", "3,4,5"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        # Closed before the child can print, so its write meets no reader.
+        child.stdout.close()
+        _, stderr = child.communicate(timeout=60)
+        assert stderr == b""
+        assert child.returncode == 1

@@ -2,9 +2,10 @@
 
 import json
 import math
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semichord import (
     DomainError,
@@ -18,7 +19,7 @@ from semichord import (
     side_lengths,
     solve_diameter,
 )
-from semichord import fuzz
+from semichord import fuzz, solver
 from semichord.cli import main
 
 # Reference stream for state 0, as published for the splitmix64
@@ -56,6 +57,17 @@ class TestSplitMix64:
         a = SplitMix64.for_trial(42, 0)
         b = SplitMix64.for_trial(42, 1)
         assert a.next_u64() != b.next_u64()
+
+    @given(
+        state=st.integers(min_value=0, max_value=(1 << 64) - 1),
+        count=st.integers(min_value=0, max_value=63),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_local_draw_loop_matches_the_method_calls(self, state, count):
+        looped, called = SplitMix64(state), SplitMix64(state)
+        variates = fuzz._positive_floats(looped, count)
+        assert variates == [called.next_positive_float() for _ in range(count)]
+        assert looped.state == called.state
 
 
 class TestRandomAngles:
@@ -167,6 +179,19 @@ class TestRunFuzz:
         assert sum(report.histogram.values()) > 0
         assert all(count > 0 for count in report.histogram.values())
 
+    def test_round_trip_skips_the_bracket_certificate(self, monkeypatch):
+        passes = []
+        arc_total = solver._arc_total
+
+        def counted(d, sides):
+            passes.append(d)
+            return arc_total(d, sides)
+
+        monkeypatch.setattr(solver, "_arc_total", counted)
+        report = run_fuzz(FuzzConfig(trials=200, n_max=64))
+        assert report.failures == ()
+        assert passes == []
+
     def test_long_chain_regime(self):
         report = run_fuzz(
             FuzzConfig(trials=100, n_min=30, n_max=32, seed=42, tolerance_rel=1e-8)
@@ -267,8 +292,8 @@ class TestNonFiniteResidual:
 
     @staticmethod
     def _solver_returning(d, monkeypatch):
-        solution = SimpleNamespace(d=d)
-        monkeypatch.setattr(fuzz, "solve_diameter", lambda sides: solution)
+        # run_fuzz reads only d from the solver's (sides, max, d, residual, steps).
+        monkeypatch.setattr(fuzz, "_solve", lambda sides: (sides, max(sides), d, 0.0, 0))
 
     @pytest.mark.parametrize("d, bucket", [(math.nan, "nan"), (math.inf, "inf")])
     def test_failure_in_its_own_bucket(self, d, bucket, monkeypatch):

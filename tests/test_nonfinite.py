@@ -14,6 +14,7 @@ import json
 import math
 import re
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -325,6 +326,37 @@ class TestSolverHelpers:
         with pytest.raises(DomainError) as info:
             closing_side(1.0, 1.0, d)
         assert not NONFINITE_TOKEN.search(str(info.value))
+
+
+class TestSolverNonReal:
+    """A side or diameter that is not a real number is a coded domain error."""
+
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (solve_diameter, (["a", 1],)),
+            (solve_diameter, ([None, 1],)),
+            pytest.param(solve_diameter, ([10**400, 1],), id="solve_diameter-10**400"),
+            (inscribe_from_sides, ([None, 1],)),
+            (arc_sum, (None, [1.0])),
+            (arc_sum, (2.0, ["a"])),
+            pytest.param(arc_sum, (10**400, [1.0]), id="arc_sum-10**400"),
+            (arcs_from_sides, ([1.0, 1.0], "2")),
+            (arcs_from_sides, ([None, 1.0], 2.0)),
+        ],
+    )
+    def test_raises_domain_error(self, call, args):
+        with pytest.raises(DomainError) as info:
+            call(*args)
+        assert type(info.value) is DomainError
+        assert info.value.code == "domain"
+        assert str(info.value) in ("sides must be real numbers", "diameter must be a real number")
+
+    def test_real_numbers_of_other_types_stay_accepted(self):
+        assert solve_diameter(["3", 4]) == solve_diameter([3.0, 4.0])
+        assert inscribe_from_sides([Fraction(3), 4]) == inscribe_from_sides([3.0, 4.0])
+        assert arc_sum(5, ["3", 4]) == arc_sum(5.0, [3.0, 4.0])
+        assert arcs_from_sides([3, Decimal(4)], Fraction(5)) == arcs_from_sides([3.0, 4.0], 5.0)
 
 
 class TestFuzzConfig:
