@@ -137,23 +137,6 @@ class FuzzReport:
     histogram: dict[str, int]
 
 
-def _positive_floats(gen: SplitMix64, count: int) -> list[float]:
-    """``count`` calls of ``gen.next_positive_float()``, in one local loop.
-
-    Reads and writes ``gen.state`` once; the floats and the final state
-    are those of the calls.
-    """
-    state = gen.state
-    variates = []
-    for _ in range(count):
-        state = (state + _GAMMA) & _MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        variates.append((((z ^ (z >> 31)) >> 11) + 1) * 2.0**-53)
-    gen.state = state
-    return variates
-
-
 def random_angles(n: int, gen: SplitMix64) -> CentralAngles:
     """n-1 strictly positive arcs summing to the half turn.
 
@@ -164,7 +147,7 @@ def random_angles(n: int, gen: SplitMix64) -> CentralAngles:
         raise DomainError("n must be an integer")
     if n < 3:
         raise DomainError("need at least 3 vertices")
-    variates = _positive_floats(gen, n - 1)
+    variates = [gen.next_positive_float() for _ in range(n - 1)]
     total = math.fsum(variates)
     return CentralAngles(math.pi * u / total for u in variates)
 
@@ -222,7 +205,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
         poly = vertices_from_angles(angles, radius)
 
         sides, residuals = _check_residuals(poly)
-        d = _solve(sides)[2]
+        d = _solve(sides)[1]
         target_d = 2.0 * radius
         residuals.append(abs(d - target_d) / target_d)
 

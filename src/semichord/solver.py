@@ -78,8 +78,10 @@ def _diameter(d) -> float:
     try:
         if 0.0 < d < math.inf:
             return float(d)
-    except (TypeError, OverflowError):  # str, None, complex, 10**400
+    except TypeError:  # str, None, complex
         raise DomainError("diameter must be a real number") from None
+    except ArithmeticError:  # 10**400 overflows a float; a Decimal NaN has no order
+        pass
     raise DomainError("diameter must be positive and finite")
 
 
@@ -174,12 +176,12 @@ def _bracket_end(sides: tuple[float, ...], d: float, sign: float) -> float:
         step *= 2.0
 
 
-def _solve(sides) -> tuple[tuple[float, ...], float, float, float, int]:
+def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
     """Diameter of the sides by monotone Newton, without a certificate.
 
-    Returns the sides as the float tuple it checked, the largest side,
-    d, the final normalised arc-sum residual and the Newton step count.
-    Raises as :func:`solve_diameter` does.
+    Returns the sides as the float tuple it checked, d, the final
+    normalised arc-sum residual and the Newton step count.  Raises as
+    :func:`solve_diameter` does.
     """
     sides = _floats(sides)
     if len(sides) < 2:
@@ -213,7 +215,7 @@ def _solve(sides) -> tuple[tuple[float, ...], float, float, float, int]:
     d = m / t
     if not math.isfinite(d):
         raise DomainError(f"sides {sides!r} have no finite diameter")
-    return sides, m, d, residual, steps
+    return sides, d, residual, steps
 
 
 def solve_diameter(sides) -> DiameterSolution:
@@ -226,7 +228,7 @@ def solve_diameter(sides) -> DiameterSolution:
     side that is not positive and finite, and when the diameter is not a
     finite float, as when it overflows.
     """
-    sides, _, d, residual, steps = _solve(sides)
+    sides, d, residual, steps = _solve(sides)
     excess = _arc_total(d, sides) - math.pi
     return DiameterSolution(
         d=d,
@@ -250,22 +252,19 @@ def arcs_from_sides(sides, d: float) -> list[float]:
     if not sides:
         raise DomainError("need at least one side")
     d = _diameter(d)
-    return _arcs(sides, d, max(sides))
+    return _arcs(sides, d)
 
 
-def _arcs(sides: tuple[float, ...], d: float, widest: float) -> list[float]:
-    """:func:`arcs_from_sides` on a float tuple and a checked d.
-
-    ``widest`` is ``max(sides)``, whose arc is the complement.
-    """
+def _arcs(sides: tuple[float, ...], d: float) -> list[float]:
+    """:func:`arcs_from_sides` on a float tuple and a checked d."""
     # A valid side has 0 < a <= d but for clamp noise; _ratio checks the rest.
     arcs = [
         2.0 * math.asin(a / d if 0.0 < a <= d else _ratio(a, d)) for a in sides
     ]
-    index = sides.index(widest)
+    widest = sides.index(max(sides))
     # fsum is correctly rounded, so the zeroed entry leaves the sum exact.
-    arcs[index] = 0.0
-    arcs[index] = math.pi - math.fsum(arcs)
+    arcs[widest] = 0.0
+    arcs[widest] = math.pi - math.fsum(arcs)
     return arcs
 
 
@@ -276,8 +275,8 @@ def inscribe_from_sides(sides) -> InscribedPolygon:
     takes the same d without building it.
     """
     # _solve returns the sides as a tuple, so a one-shot iterable is read once.
-    sides, m, d, _, _ = _solve(sides)
+    sides, d, _, _ = _solve(sides)
     # A subnormal d/2 is a domain error, checked before the arcs it can degenerate.
     radius = _radius(0.5 * d)
-    arcs = _arcs(sides, d, m)
+    arcs = _arcs(sides, d)
     return vertices_from_angles(CentralAngles(arcs), radius)

@@ -328,29 +328,39 @@ class TestSolverHelpers:
         assert not NONFINITE_TOKEN.search(str(info.value))
 
 
+SIDES_NOT_REAL = "sides must be real numbers"
+D_NOT_REAL = "diameter must be a real number"
+D_NOT_FINITE = "diameter must be positive and finite"
+
+
 class TestSolverNonReal:
     """A side or diameter that is not a real number is a coded domain error."""
 
     @pytest.mark.parametrize(
-        "call, args",
+        "call, args, message",
         [
-            (solve_diameter, (["a", 1],)),
-            (solve_diameter, ([None, 1],)),
-            pytest.param(solve_diameter, ([10**400, 1],), id="solve_diameter-10**400"),
-            (inscribe_from_sides, ([None, 1],)),
-            (arc_sum, (None, [1.0])),
-            (arc_sum, (2.0, ["a"])),
-            pytest.param(arc_sum, (10**400, [1.0]), id="arc_sum-10**400"),
-            (arcs_from_sides, ([1.0, 1.0], "2")),
-            (arcs_from_sides, ([None, 1.0], 2.0)),
+            (solve_diameter, (["a", 1],), SIDES_NOT_REAL),
+            (solve_diameter, ([None, 1],), SIDES_NOT_REAL),
+            pytest.param(
+                solve_diameter, ([10**400, 1],), SIDES_NOT_REAL, id="solve_diameter-10**400"
+            ),
+            (inscribe_from_sides, ([None, 1],), SIDES_NOT_REAL),
+            (arc_sum, (None, [1.0]), D_NOT_REAL),
+            (arc_sum, (2.0, ["a"]), SIDES_NOT_REAL),
+            pytest.param(arc_sum, (10**400, [1.0]), D_NOT_FINITE, id="arc_sum-10**400"),
+            (arc_sum, (Decimal("NaN"), [1.0]), D_NOT_FINITE),
+            (arc_sum, (Decimal("sNaN"), [1.0]), D_NOT_FINITE),
+            (arcs_from_sides, ([1.0, 1.0], "2"), D_NOT_REAL),
+            (arcs_from_sides, ([1.0, 1.0], Decimal("NaN")), D_NOT_FINITE),
+            (arcs_from_sides, ([None, 1.0], 2.0), SIDES_NOT_REAL),
         ],
     )
-    def test_raises_domain_error(self, call, args):
+    def test_raises_domain_error(self, call, args, message):
         with pytest.raises(DomainError) as info:
             call(*args)
         assert type(info.value) is DomainError
         assert info.value.code == "domain"
-        assert str(info.value) in ("sides must be real numbers", "diameter must be a real number")
+        assert str(info.value) == message
 
     def test_real_numbers_of_other_types_stay_accepted(self):
         assert solve_diameter(["3", 4]) == solve_diameter([3.0, 4.0])
