@@ -105,6 +105,44 @@ class TestSolveDiameter:
         assert arc_sum(solution.bracket_low, sides) >= math.pi
         assert arc_sum(solution.bracket_high, sides) <= math.pi
 
+    @pytest.mark.parametrize(
+        "sides, pinned",
+        [
+            # The low end steps: the arc sum at d is just below pi.
+            (
+                [2, 2, 2],
+                ("0x1.0000000000001p+2", "0x1.0000000000000p+2",
+                 "0x1.0000000000001p+2", 5, "0x0.0p+0"),
+            ),
+            (
+                [1, 1, 1, 1, 1, 1],
+                ("0x1.ee8dd4748bf16p+1", "0x1.ee8dd4748bf14p+1",
+                 "0x1.ee8dd4748bf16p+1", 3, "0x1.0000000000000p-51"),
+            ),
+            # The high end steps, one subnormal ulp.
+            (
+                [1e-310, 1e-310],
+                ("0x0.01a088b6bf34fp-1022", "0x0.01a088b6bf34fp-1022",
+                 "0x0.01a088b6bf350p-1022", 0, "0x1.0000000000000p-51"),
+            ),
+            (
+                [7, 1],
+                ("0x1.c48c6001f0ac0p+2", "0x1.c48c6001f0abfp+2",
+                 "0x1.c48c6001f0ac0p+2", 0, "0x1.0000000000000p-50"),
+            ),
+        ],
+    )
+    def test_stepped_brackets_are_pinned(self, sides, pinned):
+        solution = solve_diameter(sides)
+        d, low, high, iterations, residual = pinned
+        assert solution == DiameterSolution(
+            d=float.fromhex(d),
+            bracket_low=float.fromhex(low),
+            bracket_high=float.fromhex(high),
+            iterations=iterations,
+            arc_sum_residual=float.fromhex(residual),
+        )
+
     def test_rejects_single_side(self):
         with pytest.raises(DomainError):
             solve_diameter([3.0])
