@@ -174,6 +174,23 @@ def _general_identity(
     return sides, d, sum_sq, rhs, chords
 
 
+def _report(
+    n: int, d: float, sum_sq: float, cross_terms: tuple[CrossTerm, ...], rhs: float
+) -> IdentityReport:
+    """The report on d^2 = rhs, its residual taken relative to d^2 > 0."""
+    lhs = d * d
+    residual_abs = abs(lhs - rhs)
+    return IdentityReport(
+        n=n,
+        lhs=lhs,
+        sum_of_squares=sum_sq,
+        cross_terms=cross_terms,
+        rhs=rhs,
+        residual_abs=residual_abs,
+        residual_rel=residual_abs / lhs,
+    )
+
+
 def evaluate_general(poly: InscribedPolygon) -> IdentityReport:
     """Measure every side and needed diagonal, evaluate the identity.
 
@@ -189,19 +206,8 @@ def evaluate_general(poly: InscribedPolygon) -> IdentityReport:
     side d^2, which is strictly positive for any valid polygon.
     """
     _, d, sum_sq, rhs, chords = _general_identity(poly)
-    lhs = d * d
-    residual_abs = abs(lhs - rhs)
-    return IdentityReport(
-        n=poly.n,
-        lhs=lhs,
-        sum_of_squares=sum_sq,
-        cross_terms=tuple(
-            CrossTerm(k, *chord) for k, chord in enumerate(chords, start=1)
-        ),
-        rhs=rhs,
-        residual_abs=residual_abs,
-        residual_rel=residual_abs / lhs,
-    )
+    cross_terms = tuple(CrossTerm(k, *chord) for k, chord in enumerate(chords, start=1))
+    return _report(poly.n, d, sum_sq, cross_terms, rhs)
 
 
 def nested_quadrilateral_check(poly: InscribedPolygon, k: int) -> IdentityReport:
@@ -218,18 +224,9 @@ def nested_quadrilateral_check(poly: InscribedPolygon, k: int) -> IdentityReport
     b = diagonal(poly, k, k + 1)
     c = diagonal(poly, k + 1, n - 1)
     d = diagonal(poly, 0, n - 1)
+    cross_terms = (CrossTerm(1, a, b, c, a * b * c),)
     rhs = rhs_quadrilateral(a, b, c, d)
-    lhs = d * d
-    residual_abs = abs(lhs - rhs)
-    return IdentityReport(
-        n=4,
-        lhs=lhs,
-        sum_of_squares=a * a + b * b + c * c,
-        cross_terms=(CrossTerm(1, a, b, c, a * b * c),),
-        rhs=rhs,
-        residual_abs=residual_abs,
-        residual_rel=residual_abs / lhs,
-    )
+    return _report(4, d, a * a + b * b + c * c, cross_terms, rhs)
 
 
 def corner_identity_residual(poly: InscribedPolygon) -> float:

@@ -25,9 +25,10 @@ Newton's method from t0 falls monotonically onto the root without a
 bracketing phase, taking g's slope only at the iterates it steps from.
 Where a bound is exact, as for two sides, rounding may put t0 just left
 of the root; it is then returned at once, as accurate as that rounding.
-:func:`solve_diameter` then certifies a bracket around d in
-:func:`arc_sum`'s own arithmetic by stepping outward from d until the
-arc sum crosses pi.  It is the only function here that returns one;
+:func:`solve_diameter` then certifies a bracket around d with
+:func:`arc_sum` itself, trying d and then stepping outward from it
+until the arc sum crosses pi.  It is the only function here that
+returns one;
 :func:`inscribe_from_sides` and the fuzz round trip take the same d
 from ``_solve`` without the certificate.
 """
@@ -101,15 +102,6 @@ def _ratio(a: float, d: float) -> float:
     return ratio
 
 
-def _arc_total(d: float, sides: tuple[float, ...]) -> float:
-    """arc_sum without input validation; bit-identical to it."""
-    total = 0.0
-    for a in sides:
-        # a <= d keeps a / d <= 1, where _ratio would not clamp it.
-        total += math.asin(a / d if a <= d else _ratio(a, d))
-    return 2.0 * total
-
-
 def arc_sum(d: float, sides) -> float:
     """Total central angle subtended by ``sides`` on diameter ``d``.
 
@@ -124,7 +116,11 @@ def arc_sum(d: float, sides) -> float:
     for a in sides:
         if not 0.0 <= a < math.inf:
             raise DomainError("sides must be non-negative and finite")
-    return _arc_total(d, sides)
+    total = 0.0
+    for a in sides:
+        # a <= d keeps a / d <= 1, where _ratio would not clamp it.
+        total += math.asin(a / d if a <= d else _ratio(a, d))
+    return 2.0 * total
 
 
 def _newton_descent(value, slope, x: float, floor: float) -> tuple[float, float, int]:
@@ -161,19 +157,18 @@ def _newton_descent(value, slope, x: float, floor: float) -> tuple[float, float,
 
 
 def _bracket_end(sides: tuple[float, ...], d: float, sign: float) -> float:
-    """Bracket end beyond d in direction ``sign``, as arc_sum computes it.
+    """Bracket end at or beyond d in direction ``sign``, as arc_sum computes it.
 
     Below d the end has an arc sum of at least pi, above d at most pi.
-    Steps double from one ulp.  Downward steps stop at the largest side,
-    where the arc sum is at least pi.
+    d itself is tried first, then steps doubling from one ulp.  Downward
+    steps stop at the largest side, where the arc sum is at least pi.
     """
     floor = max(sides)
-    step = math.ulp(d)
-    while True:
+    end, step = d, math.ulp(d)
+    while sign * (arc_sum(end, sides) - math.pi) > 0.0:
         end = max(d + sign * step, floor)
-        if sign * (_arc_total(end, sides) - math.pi) <= 0.0:
-            return end
         step *= 2.0
+    return end
 
 
 def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
@@ -229,11 +224,10 @@ def solve_diameter(sides) -> DiameterSolution:
     finite float, as when it overflows.
     """
     sides, d, residual, steps = _solve(sides)
-    excess = _arc_total(d, sides) - math.pi
     return DiameterSolution(
         d=d,
-        bracket_low=d if excess >= 0.0 else _bracket_end(sides, d, -1.0),
-        bracket_high=d if excess <= 0.0 else _bracket_end(sides, d, 1.0),
+        bracket_low=_bracket_end(sides, d, -1.0),
+        bracket_high=_bracket_end(sides, d, 1.0),
         iterations=steps,
         arc_sum_residual=abs(residual),
     )

@@ -168,13 +168,13 @@ class TestRunFuzz:
 
     def test_round_trip_skips_the_bracket_certificate(self, monkeypatch):
         passes = []
-        arc_total = solver._arc_total
+        arc_total = solver.arc_sum
 
         def counted(d, sides):
             passes.append(d)
             return arc_total(d, sides)
 
-        monkeypatch.setattr(solver, "_arc_total", counted)
+        monkeypatch.setattr(solver, "arc_sum", counted)
         report = run_fuzz(FuzzConfig(trials=200, n_max=64))
         assert report.failures == ()
         assert passes == []
