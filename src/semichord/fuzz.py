@@ -111,13 +111,24 @@ class FuzzConfig:
             raise DomainError("trials must be at least 1")
         if not 3 <= self.n_min <= self.n_max <= 64:
             raise DomainError("need 3 <= n_min <= n_max <= 64")
-        # Every drawn diameter 2R must lie in the identity's window.
-        if not _D_MIN <= 2.0 * self.radius_min <= 2.0 * self.radius_max <= _D_MAX:
+        low, high = self.radius_min, self.radius_max
+        try:
+            # Every drawn diameter 2R must lie in the identity's window.
+            in_window = _D_MIN <= 2.0 * low <= 2.0 * high <= _D_MAX
+        except TypeError:  # None, "a", 1j, a Decimal
+            raise DomainError("radius_min and radius_max must be real numbers") from None
+        except OverflowError:  # 2.0 * 10**400
+            in_window = False
+        if not in_window:
             raise DomainError(
                 "need radius_min <= radius_max, with diameters in the identity window"
             )
-        if not 0.0 < self.tolerance_rel < math.inf:
-            raise DomainError("tolerance_rel must be positive and finite")
+        try:
+            if 0.0 < self.tolerance_rel < math.inf:
+                return
+        except TypeError:  # None, "a", 1j
+            raise DomainError("tolerance_rel must be a real number") from None
+        raise DomainError("tolerance_rel must be positive and finite")
 
 
 @dataclass(frozen=True, slots=True)

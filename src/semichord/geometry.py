@@ -7,9 +7,12 @@ a side.  The canonical parametrization is the list of central angles
 linear (they sum to a half turn) and every identity in this package is
 testable by construction from them.
 
-A radius must be a real number, at least the smallest normal float
-(below it R*cos and R*sin lose the precision the on-circle check needs),
-with a finite diameter 2R; ``_radius`` is the one place that checks it.
+This module is the home of the package's side, diameter and radius
+rules: ``_floats`` reads a list of sides, each a real number;
+``_diameter`` reads a diameter, positive and finite as a float; and
+``_radius`` reads a radius, a real number at least the smallest normal
+float (below it R*cos and R*sin lose the precision the on-circle check
+needs), with a finite diameter 2R.
 A polygon placed from arcs is validated once, where it enters:
 ``CentralAngles`` checks the arc partition, and ``vertices_from_angles``
 then checks only the radius and the lowest vertex, falling back to the
@@ -31,6 +34,27 @@ ARC_SUM_TOL = 1e-12
 #: Relative tolerance (scaled by R, or on coordinates divided by R) for
 #: on-circle vertex checks.
 VERTEX_TOL = 1e-12
+
+
+def _floats(sides) -> tuple[float, ...]:
+    """``sides`` as a float tuple; a value that is not a real number is a domain error."""
+    try:
+        return tuple(map(float, sides))
+    except (TypeError, ValueError, OverflowError):  # None, "a", 10**400
+        raise DomainError("sides must be real numbers") from None
+
+
+def _diameter(d) -> float:
+    """``d`` as a float, checked positive and finite before and after conversion."""
+    try:
+        # A Decimal or Fraction can pass the first test and round to inf or 0.
+        if 0.0 < d < math.inf and 0.0 < (d := float(d)) < math.inf:
+            return d
+    except TypeError:  # str, None, complex
+        raise DomainError("diameter must be a real number") from None
+    except ArithmeticError:  # 10**400 overflows a float; a Decimal NaN has no order
+        pass
+    raise DomainError("diameter must be positive and finite")
 
 
 def _radius(radius: float) -> float:
@@ -139,12 +163,13 @@ class ChordSet:
     diameter: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sides", tuple(float(s) for s in self.sides))
-        if not all(s >= 0.0 for s in self.sides):
+        sides = _floats(self.sides)
+        object.__setattr__(self, "sides", sides)
+        if not all(s >= 0.0 for s in sides):
             raise DomainError("sides must be non-negative")
-        if not 0.0 < self.diameter < math.inf:
-            raise DomainError("diameter must be positive and finite")
-        if self.sides and self.diameter < max(self.sides):
+        diameter = _diameter(self.diameter)
+        object.__setattr__(self, "diameter", diameter)
+        if sides and diameter < max(sides):
             raise DomainError("a chord cannot exceed the diameter")
 
     @classmethod
@@ -159,9 +184,14 @@ def chord_from_angle(arc: float, radius: float) -> float:
     diameter.
     """
     R = _radius(radius)
-    if not 0.0 <= arc <= math.pi:
-        raise DomainError("arc must lie in [0, pi]")
-    return 2.0 * R * math.sin(0.5 * arc)
+    try:
+        if 0.0 <= arc <= math.pi:
+            return 2.0 * R * math.sin(0.5 * float(arc))
+    except TypeError:  # str, None, complex
+        raise DomainError("arc must be a real number") from None
+    except ArithmeticError:  # a Decimal NaN has no order
+        pass
+    raise DomainError("arc must lie in [0, pi]")
 
 
 def vertices_from_angles(angles: CentralAngles, radius: float) -> InscribedPolygon:

@@ -66,20 +66,26 @@ class IdentityReport:
     residual_rel: float
 
 
-def _check_lengths(names: str, bound: str, d: float, *values: float) -> None:
-    """Raise unless d is in the window and each value lies in [0, 2^10 d].
+def _check_lengths(names: str, bound: str, scale: float, unit, *values) -> None:
+    """Raise unless d = scale * unit is in the window and values lie in [0, 2^10 d].
 
+    ``unit`` is the diameter (``scale`` 1) or the radius (``scale`` 2).
     A bad value is named by its letter; ``bound`` names 2^10 d in the
     message, e.g. "2^11 R".
     """
-    if not _D_MIN <= d <= _D_MAX:
-        raise DomainError(_OUT_OF_WINDOW)
-    limit = _LENGTH_HEADROOM * d
-    for name, value in zip(names, values):
-        if not 0.0 <= value < math.inf:
-            raise DomainError(f"{name} must be non-negative and finite")
-        if not value <= limit:
-            raise DomainError(f"{name} must be at most {bound}")
+    try:
+        # scale is a power of two, so this is the window on d without
+        # forming d, which an int such as 10**400 would overflow.
+        if not _D_MIN / scale <= unit <= _D_MAX / scale:
+            raise DomainError(_OUT_OF_WINDOW)
+        limit = _LENGTH_HEADROOM * scale * unit
+        for name, value in zip(names, values):
+            if not 0.0 <= value < math.inf:
+                raise DomainError(f"{name} must be non-negative and finite")
+            if not value <= limit:
+                raise DomainError(f"{name} must be at most {bound}")
+    except TypeError:  # None, "a", 1j, a Decimal diameter
+        raise DomainError("lengths must be real numbers") from None
 
 
 def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
@@ -89,13 +95,17 @@ def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
     the right-triangle sum of two squares.
     """
     # Checked inline: run_fuzz reaches this once per nested quadrilateral.
-    limit = _LENGTH_HEADROOM * d
-    if not (
-        _D_MIN <= d <= _D_MAX and 0.0 <= a <= limit and 0.0 <= b <= limit
-        and 0.0 <= c <= limit
-    ):
-        _check_lengths("abc", "2^10 d", d, a, b, c)
-    return a * a + b * b + c * c + 2 * a * b * c / d
+    try:
+        limit = _LENGTH_HEADROOM * d
+        if not (
+            _D_MIN <= d <= _D_MAX and 0.0 <= a <= limit and 0.0 <= b <= limit
+            and 0.0 <= c <= limit
+        ):
+            _check_lengths("abc", "2^10 d", 1.0, d, a, b, c)
+        return a * a + b * b + c * c + 2 * a * b * c / d
+    except (TypeError, OverflowError):  # None, "a", 1j, a Decimal; d = 10**400
+        _check_lengths("abc", "2^10 d", 1.0, d, a, b, c)
+        raise
 
 
 def rhs_pentagon(
@@ -107,7 +117,7 @@ def rhs_pentagon(
     chord from the third to the last.  All four squared short sides
     appear in the sum; the cross terms are (a*b*y + x*c*d)/R.
     """
-    _check_lengths("abcdxy", "2^11 R", 2.0 * R, a, b, c, d, x, y)
+    _check_lengths("abcdxy", "2^11 R", 2.0, R, a, b, c, d, x, y)
     return a * a + b * b + c * c + d * d + (a * b * y + x * c * d) / R
 
 
@@ -128,7 +138,7 @@ def rhs_hexagon(
     Diagonals: ``y`` joins vertices 1-3, ``u`` joins 1-4, ``z`` joins
     3-6, ``x`` joins 4-6.  Cross terms are (a*b*z + y*c*x + u*d*e)/R.
     """
-    _check_lengths("abcdexyzu", "2^11 R", 2.0 * R, a, b, c, d, e, x, y, z, u)
+    _check_lengths("abcdexyzu", "2^11 R", 2.0, R, a, b, c, d, e, x, y, z, u)
     return a * a + b * b + c * c + d * d + e * e + (a * b * z + y * c * x + u * d * e) / R
 
 

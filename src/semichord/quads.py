@@ -23,6 +23,8 @@ from .geometry import (
     ARC_SUM_TOL,
     CentralAngles,
     InscribedPolygon,
+    _diameter,
+    _floats,
     chord_from_angle,
     vertices_from_angles,
 )
@@ -63,9 +65,11 @@ def diameter_cubic(a: float, b: float, c: float) -> float:
     onto the root from there (a u0 that rounding puts just left of the
     root is returned at once).  Closed-form resolution is avoided on
     purpose: the three-real-root case needs trigonometric branches.
-    Raises :class:`DomainError` for a side that is not positive and
-    finite, and when d is not a finite float, as when it overflows.
+    Raises :class:`DomainError` for a side that is not a real number or
+    not positive and finite, and when d is not a finite float, as when
+    it overflows.
     """
+    a, b, c = _floats((a, b, c))
     if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < c < math.inf):
         raise DomainError("all three sides must be positive and finite")
     m = max(a, b, c)
@@ -89,9 +93,12 @@ def closing_side(a: float, b: float, d: float) -> float:
     Walks two chords of lengths a and b along the semicircle of
     diameter d; the fourth side is the chord of the arc left over,
     from the end of the second chord to the far diameter endpoint.
+    Raises :class:`DomainError` for a length that is not a real number
+    or out of range, and :class:`PlacementError` when the chords
+    overshoot the semicircle.
     """
-    if not 0.0 < d < math.inf:
-        raise DomainError("diameter must be positive and finite")
+    d = _diameter(d)
+    a, b = _floats((a, b))
     if not 0.0 < a < d or not 0.0 < b < d:
         raise DomainError("chords must be positive and shorter than the diameter")
     arc_a = 2.0 * math.asin(a / d)

@@ -39,7 +39,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .geometry import CentralAngles, InscribedPolygon, _radius, vertices_from_angles
+from .geometry import (
+    CentralAngles,
+    InscribedPolygon,
+    _diameter,
+    _floats,
+    _radius,
+    vertices_from_angles,
+)
 
 #: Cap on Newton steps; monotone descent settles in well under ten.
 MAX_ITERATIONS = 200
@@ -64,26 +71,6 @@ class DiameterSolution:
     bracket_high: float
     iterations: int
     arc_sum_residual: float
-
-
-def _floats(sides) -> tuple[float, ...]:
-    """``sides`` as a float tuple; a value that is not a real number is a domain error."""
-    try:
-        return tuple(map(float, sides))
-    except (TypeError, ValueError, OverflowError):  # None, "a", 10**400
-        raise DomainError("sides must be real numbers") from None
-
-
-def _diameter(d) -> float:
-    """``d`` as a float, checked positive and finite."""
-    try:
-        if 0.0 < d < math.inf:
-            return float(d)
-    except TypeError:  # str, None, complex
-        raise DomainError("diameter must be a real number") from None
-    except ArithmeticError:  # 10**400 overflows a float; a Decimal NaN has no order
-        pass
-    raise DomainError("diameter must be positive and finite")
 
 
 def _ratio(a: float, d: float) -> float:

@@ -10,6 +10,7 @@ line such input exits 1 with an error code and prints no ``nan`` or
 ``inf`` token; so does a payload that would carry one.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -26,11 +27,13 @@ from semichord import (
     FuzzConfig,
     InscribedPolygon,
     InvalidAnglesError,
+    SemichordError,
     arc_sum,
     arcs_from_sides,
     chord_from_angle,
     closing_side,
     diameter_cubic,
+    enumerate_incongruent_quads,
     inscribe_from_sides,
     rhs_hexagon,
     rhs_pentagon,
@@ -353,6 +356,13 @@ class TestSolverNonReal:
             (arcs_from_sides, ([1.0, 1.0], "2"), D_NOT_REAL),
             (arcs_from_sides, ([1.0, 1.0], Decimal("NaN")), D_NOT_FINITE),
             (arcs_from_sides, ([None, 1.0], 2.0), SIDES_NOT_REAL),
+            # Past the range test, but inf or 0 once converted to a float.
+            (arcs_from_sides, ([1.0, 1.0], Decimal("1e400")), D_NOT_FINITE),
+            (arc_sum, (Decimal("1e400"), [1.0]), D_NOT_FINITE),
+            (arc_sum, (Decimal("1e-400"), [1.0]), D_NOT_FINITE),
+            pytest.param(
+                arc_sum, (Fraction(1, 10**400), [1.0]), D_NOT_FINITE, id="arc_sum-1/10**400"
+            ),
         ],
     )
     def test_raises_domain_error(self, call, args, message):
@@ -367,6 +377,113 @@ class TestSolverNonReal:
         assert inscribe_from_sides([Fraction(3), 4]) == inscribe_from_sides([3.0, 4.0])
         assert arc_sum(5, ["3", 4]) == arc_sum(5.0, [3.0, 4.0])
         assert arcs_from_sides([3, Decimal(4)], Fraction(5)) == arcs_from_sides([3.0, 4.0], 5.0)
+
+
+class TestQuadsAndClosedFormsNonReal:
+    """Each input here raised a bare TypeError, ValueError or OverflowError."""
+
+    @pytest.mark.parametrize(
+        "call, args, message",
+        [
+            (diameter_cubic, ("a", 1, 1), SIDES_NOT_REAL),
+            (diameter_cubic, (None, 1, 1), SIDES_NOT_REAL),
+            pytest.param(
+                diameter_cubic, (10**400, 1, 1), SIDES_NOT_REAL, id="diameter_cubic-10**400"
+            ),
+            (closing_side, (1.0, 1.0, "2"), D_NOT_REAL),
+            (closing_side, (1.0, None, 2.0), SIDES_NOT_REAL),
+            (enumerate_incongruent_quads, (None, 1, 1), SIDES_NOT_REAL),
+            (ChordSet, (("a",), 1.0), SIDES_NOT_REAL),
+            (ChordSet, ((1.0,), "2"), D_NOT_REAL),
+            (chord_from_angle, ("a", 1.0), "arc must be a real number"),
+            (rhs_quadrilateral, ("a", 1, 1, 2), "lengths must be real numbers"),
+            (rhs_quadrilateral, (1, 1, 1, None), "lengths must be real numbers"),
+            (rhs_pentagon, (None, 1, 1, 1, 1, 1, 1), "lengths must be real numbers"),
+            (
+                lambda value: FuzzConfig(radius_min=value),
+                ("a",),
+                "radius_min and radius_max must be real numbers",
+            ),
+            (
+                lambda value: FuzzConfig(radius_min=value),
+                (None,),
+                "radius_min and radius_max must be real numbers",
+            ),
+            (
+                lambda value: FuzzConfig(tolerance_rel=value),
+                (None,),
+                "tolerance_rel must be a real number",
+            ),
+        ],
+    )
+    def test_raises_domain_error(self, call, args, message):
+        with pytest.raises(DomainError) as info:
+            call(*args)
+        assert type(info.value) is DomainError
+        assert info.value.code == "domain"
+        assert str(info.value) == message
+
+    def test_real_numbers_of_other_types_stay_accepted(self):
+        assert diameter_cubic(Decimal(3), "4", Fraction(5)) == diameter_cubic(3.0, 4.0, 5.0)
+        assert closing_side(Decimal(1), "1", Fraction(2)) == closing_side(1.0, 1.0, 2.0)
+        assert enumerate_incongruent_quads("3", 4, Decimal(5)) == (
+            enumerate_incongruent_quads(3.0, 4.0, 5.0)
+        )
+        assert ChordSet(("1", Decimal(1)), Fraction(2)) == ChordSet((1.0, 1.0), 2.0)
+        assert chord_from_angle(Fraction(1), 1.0) == chord_from_angle(1.0, 1.0)
+        assert FuzzConfig(tolerance_rel=Decimal("1e-9")).tolerance_rel == Decimal("1e-9")
+
+
+def _finite(value) -> bool:
+    """Every float in ``value``, through lists, tuples and dataclasses, is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    if dataclasses.is_dataclass(value):
+        return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return True
+
+
+# Each public function named with its arguments; every position is numeric.
+CONTRACT_CALLS = {
+    "diameter_cubic": (diameter_cubic, (3.0, 4.0, 5.0)),
+    "closing_side": (closing_side, (1.0, 1.0, 2.0)),
+    "enumerate_incongruent_quads": (enumerate_incongruent_quads, (3.0, 4.0, 5.0)),
+    "ChordSet": (lambda a, b, d: ChordSet((a, b), d), (1.0, 1.0, 2.0)),
+    "chord_from_angle": (chord_from_angle, (1.0, 1.0)),
+    "arc_sum": (lambda d, a, b: arc_sum(d, [a, b]), (2.0, 1.0, 1.0)),
+    "arcs_from_sides": (lambda a, b, d: arcs_from_sides([a, b], d), (1.0, 1.0, 2.0)),
+    "rhs_quadrilateral": (rhs_quadrilateral, (1.0, 1.0, 1.0, 2.0)),
+    "rhs_pentagon": (rhs_pentagon, (1.0,) * 7),
+    "rhs_hexagon": (rhs_hexagon, (1.0,) * 10),
+    "FuzzConfig": (FuzzConfig, (100, 3, 12, 0.5, 50.0, 42, 1e-9)),
+}
+CONTRACT_VALUES = {
+    "None": None,
+    "str": "x",
+    "complex": 1j,
+    "10**400": 10**400,
+    "Decimal-1e400": Decimal("1e400"),
+}
+
+
+@pytest.mark.parametrize("value_id", CONTRACT_VALUES)
+@pytest.mark.parametrize(
+    "name, position",
+    [(name, i) for name, (_, args) in CONTRACT_CALLS.items() for i in range(len(args))],
+)
+def test_public_functions_return_finite_or_raise_a_coded_error(name, position, value_id):
+    call, args = CONTRACT_CALLS[name]
+    args = list(args)
+    args[position] = CONTRACT_VALUES[value_id]
+    try:
+        result = call(*args)
+    except SemichordError as exc:
+        assert exc.code != SemichordError.code
+        assert not NONFINITE_TOKEN.search(str(exc))
+    else:
+        assert _finite(result)
 
 
 class TestFuzzConfig:
