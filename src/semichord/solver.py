@@ -28,9 +28,8 @@ of the root; it is then returned at once, as accurate as that rounding.
 :func:`solve_diameter` then certifies a bracket around d with
 :func:`arc_sum` itself, trying d and then stepping outward from it
 until the arc sum crosses pi.  It is the only function here that
-returns one;
-:func:`inscribe_from_sides` and the fuzz round trip take the same d
-from ``_solve`` without the certificate.
+returns one; :func:`inscribe_from_sides` and the fuzz round trip take
+the same d from ``_solve`` without the certificate.
 """
 
 from __future__ import annotations
