@@ -14,8 +14,9 @@ vertices are provided alongside the general evaluator; diagonals are
 always measured from coordinates here, never solved from sides, so the
 evaluators stay independent of the diameter solver.
 
-Each relation of the proof has one home: ``rhs_quadrilateral`` is the
-4-vertex relation on every nested quadrilateral, and ``_corner_residual``
+Each relation of the proof has one home: ``_quadrilateral`` is the
+4-vertex relation on every nested quadrilateral, which
+``rhs_quadrilateral`` checks its inputs for, and ``_corner_residual``
 forms the law-of-cosines step at the last corner.
 """
 
@@ -94,18 +95,13 @@ def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
     Symmetric in (a, b, c).  With any short side zero this collapses to
     the right-triangle sum of two squares.
     """
-    # Checked inline: run_fuzz reaches this once per nested quadrilateral.
-    try:
-        limit = _LENGTH_HEADROOM * d
-        if not (
-            _D_MIN <= d <= _D_MAX and 0.0 <= a <= limit and 0.0 <= b <= limit
-            and 0.0 <= c <= limit
-        ):
-            _check_lengths("abc", "2^10 d", 1.0, d, a, b, c)
-        return a * a + b * b + c * c + 2 * a * b * c / d
-    except (TypeError, OverflowError):  # None, "a", 1j, a Decimal; d = 10**400
-        _check_lengths("abc", "2^10 d", 1.0, d, a, b, c)
-        raise
+    _check_lengths("abc", "2^10 d", 1.0, d, a, b, c)
+    return _quadrilateral(a, b, c, d)
+
+
+def _quadrilateral(a: float, b: float, c: float, d: float) -> float:
+    """``rhs_quadrilateral`` on lengths already known to be in range."""
+    return a * a + b * b + c * c + 2 * a * b * c / d
 
 
 def rhs_pentagon(
@@ -275,13 +271,15 @@ def _check_residuals(poly: InscribedPolygon) -> tuple[list[float], list[float]]:
 
     In order: the general identity, nested quadrilateral k = 1..n-3 and,
     for n >= 4, the corner, as ``_check_name`` names them.  Each nested
-    right side is ``rhs_quadrilateral``'s, the corner's ``_corner_residual``'s.
+    right side is ``_quadrilateral``'s, the corner's ``_corner_residual``'s;
+    the kernel measured their chords from a validated polygon with d in
+    the window, so no length is checked again.
     """
     sides, d, _, rhs, chords = _general_identity(poly)
     lhs = d * d
     residuals = [abs(lhs - rhs) / lhs]
     for first, side, second, _ in chords:
-        residuals.append(abs(lhs - rhs_quadrilateral(first, side, second, d)) / lhs)
+        residuals.append(abs(lhs - _quadrilateral(first, side, second, d)) / lhs)
     if chords:
         residuals.append(_corner_residual(poly, sides, d, chords[-1][0]))
     return sides, residuals
