@@ -128,6 +128,8 @@ class FuzzConfig:
                 return
         except TypeError:  # None, "a", 1j
             raise DomainError("tolerance_rel must be a real number") from None
+        except ArithmeticError:  # a Decimal NaN has no order
+            pass
         raise DomainError("tolerance_rel must be positive and finite")
 
 

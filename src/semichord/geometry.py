@@ -64,6 +64,8 @@ def _radius(radius: float) -> float:
             return float(radius)
     except (TypeError, OverflowError):  # str, None, complex, Decimal, 10**400
         raise DomainError("radius must be a real number") from None
+    except ArithmeticError:  # a Decimal NaN has no order
+        pass
     raise DomainError("radius must be a positive normal float with a finite diameter")
 
 

@@ -40,7 +40,7 @@ _OUT_OF_WINDOW = "diameter is outside the range the identity is evaluated in"
 #: by a zero side may be anything.  At 2^10 d the sum of three products
 #: of three lengths stays below 2^1024 at d = 2^330, so no closed form
 #: overflows inside the window; at 2^11 d they would.
-_LENGTH_HEADROOM = 2.0**10
+_LENGTH_HEADROOM = 2**10
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,26 +67,36 @@ class IdentityReport:
     residual_rel: float
 
 
-def _check_lengths(names: str, bound: str, scale: float, unit, *values) -> None:
+def _check_lengths(names: str, bound: str, scale: int, unit, *values) -> None:
     """Raise unless d = scale * unit is in the window and values lie in [0, 2^10 d].
 
     ``unit`` is the diameter (``scale`` 1) or the radius (``scale`` 2).
     A bad value is named by its letter; ``bound`` names 2^10 d in the
-    message, e.g. "2^11 R".
+    message, e.g. "2^11 R".  A ``Decimal`` NaN gets a float nan's message.
+    Ints, ``Fraction``s and ``Decimal``s keep their exact arithmetic, but a
+    ``Decimal`` beside a float or ``Fraction`` is not a real number here,
+    since the closed form could not add them.
     """
+    name = None  # the length under test, once the window has passed
     try:
         # scale is a power of two, so this is the window on d without
         # forming d, which an int such as 10**400 would overflow.
         if not _D_MIN / scale <= unit <= _D_MAX / scale:
             raise DomainError(_OUT_OF_WINDOW)
-        limit = _LENGTH_HEADROOM * scale * unit
+        # Int factors keep the limit, and the sum, of unit's type.
+        limit = total = _LENGTH_HEADROOM * scale * unit
         for name, value in zip(names, values):
             if not 0.0 <= value < math.inf:
                 raise DomainError(f"{name} must be non-negative and finite")
             if not value <= limit:
                 raise DomainError(f"{name} must be at most {bound}")
-    except TypeError:  # None, "a", 1j, a Decimal diameter
+            total += value  # a Decimal beside a float or Fraction: TypeError
+    except TypeError:  # None, "a", 1j, a Decimal beside a float
         raise DomainError("lengths must be real numbers") from None
+    except ArithmeticError:  # a Decimal NaN has no order
+        raise DomainError(
+            _OUT_OF_WINDOW if name is None else f"{name} must be non-negative and finite"
+        ) from None
 
 
 def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
@@ -95,7 +105,7 @@ def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
     Symmetric in (a, b, c).  With any short side zero this collapses to
     the right-triangle sum of two squares.
     """
-    _check_lengths("abc", "2^10 d", 1.0, d, a, b, c)
+    _check_lengths("abc", "2^10 d", 1, d, a, b, c)
     return _quadrilateral(a, b, c, d)
 
 
@@ -113,7 +123,7 @@ def rhs_pentagon(
     chord from the third to the last.  All four squared short sides
     appear in the sum; the cross terms are (a*b*y + x*c*d)/R.
     """
-    _check_lengths("abcdxy", "2^11 R", 2.0, R, a, b, c, d, x, y)
+    _check_lengths("abcdxy", "2^11 R", 2, R, a, b, c, d, x, y)
     return a * a + b * b + c * c + d * d + (a * b * y + x * c * d) / R
 
 
@@ -134,7 +144,7 @@ def rhs_hexagon(
     Diagonals: ``y`` joins vertices 1-3, ``u`` joins 1-4, ``z`` joins
     3-6, ``x`` joins 4-6.  Cross terms are (a*b*z + y*c*x + u*d*e)/R.
     """
-    _check_lengths("abcdexyzu", "2^11 R", 2.0, R, a, b, c, d, e, x, y, z, u)
+    _check_lengths("abcdexyzu", "2^11 R", 2, R, a, b, c, d, e, x, y, z, u)
     return a * a + b * b + c * c + d * d + e * e + (a * b * z + y * c * x + u * d * e) / R
 
 

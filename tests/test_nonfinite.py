@@ -218,7 +218,7 @@ class TestClosedForms:
             (rhs_hexagon, "abcde_xyzu"),
         ],
     )
-    @pytest.mark.parametrize("bad", [NAN, INF, -1.0])
+    @pytest.mark.parametrize("bad", [NAN, INF, -1.0, Decimal("NaN")])
     def test_message_names_the_first_bad_length(self, function, names, bad):
         # "_" marks the diameter or radius, which has its own check.  The
         # bad value goes at one length alone, then at it and every later one.
@@ -399,6 +399,11 @@ class TestQuadsAndClosedFormsNonReal:
             (rhs_quadrilateral, ("a", 1, 1, 2), "lengths must be real numbers"),
             (rhs_quadrilateral, (1, 1, 1, None), "lengths must be real numbers"),
             (rhs_pentagon, (None, 1, 1, 1, 1, 1, 1), "lengths must be real numbers"),
+            # A Decimal compares with floats but cannot be added to one.
+            (rhs_quadrilateral, (Decimal(1), 1.0, 1.0, 2.0), "lengths must be real numbers"),
+            (rhs_quadrilateral, (1.0, 1.0, 1.0, Decimal(2)), "lengths must be real numbers"),
+            (rhs_pentagon, (Decimal(1),) + (1.0,) * 6, "lengths must be real numbers"),
+            (rhs_hexagon, (1.0,) * 9 + (Decimal(1),), "lengths must be real numbers"),
             (
                 lambda value: FuzzConfig(radius_min=value),
                 ("a",),
@@ -433,6 +438,22 @@ class TestQuadsAndClosedFormsNonReal:
         assert chord_from_angle(Fraction(1), 1.0) == chord_from_angle(1.0, 1.0)
         assert FuzzConfig(tolerance_rel=Decimal("1e-9")).tolerance_rel == Decimal("1e-9")
 
+    @pytest.mark.parametrize(
+        "call, args, expected",
+        [
+            (rhs_pentagon, (Decimal(1), 1, 1, 1, 1, 1, 1), Decimal(6)),
+            (rhs_quadrilateral, (Decimal(1),) * 3 + (Decimal(2),), Decimal(4)),
+            (rhs_hexagon, (Decimal(1),) * 10, Decimal(8)),
+            (rhs_pentagon, (Fraction(1),) * 7, Fraction(6)),
+            (rhs_quadrilateral, (Fraction(1, 3), 1, 1, 1), Fraction(25, 9)),
+            (rhs_hexagon, (1,) * 10, 8.0),
+        ],
+    )
+    def test_closed_forms_keep_exact_arithmetic(self, call, args, expected):
+        result = call(*args)
+        assert result == expected
+        assert type(result) is type(expected)
+
 
 def _finite(value) -> bool:
     """Every float in ``value``, through lists, tuples and dataclasses, is finite."""
@@ -458,6 +479,11 @@ CONTRACT_CALLS = {
     "rhs_pentagon": (rhs_pentagon, (1.0,) * 7),
     "rhs_hexagon": (rhs_hexagon, (1.0,) * 10),
     "FuzzConfig": (FuzzConfig, (100, 3, 12, 0.5, 50.0, 42, 1e-9)),
+    "vertices_from_angles": (
+        lambda radius: vertices_from_angles(CentralAngles([HALF, HALF]), radius),
+        (1.0,),
+    ),
+    "InscribedPolygon": (lambda radius: InscribedPolygon(radius, TRIANGLE), (1.0,)),
 }
 CONTRACT_VALUES = {
     "None": None,
@@ -465,6 +491,8 @@ CONTRACT_VALUES = {
     "complex": 1j,
     "10**400": 10**400,
     "Decimal-1e400": Decimal("1e400"),
+    "Decimal-NaN": Decimal("NaN"),
+    "Decimal-sNaN": Decimal("sNaN"),
 }
 
 
