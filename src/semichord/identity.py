@@ -15,9 +15,9 @@ always measured from coordinates here, never solved from sides, so the
 evaluators stay independent of the diameter solver.
 
 Each relation of the proof has one home: ``_quadrilateral`` is the
-4-vertex relation on every nested quadrilateral, which
-``rhs_quadrilateral`` checks its inputs for, and ``_corner_residual``
-forms the law-of-cosines step at the last corner.
+4-vertex relation on every nested quadrilateral (``rhs_quadrilateral``
+checks its inputs, then calls it), and ``_corner_residual`` forms the
+law-of-cosines step at the last corner.
 """
 
 from __future__ import annotations
