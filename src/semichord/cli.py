@@ -48,7 +48,7 @@ def _parse_values(text: str) -> list[float]:
 def _polygon_from_args(values: str, radius: float | None) -> InscribedPolygon:
     numbers = _parse_values(values)
     if radius is not None:
-        angles = CentralAngles(radians(v) for v in numbers)
+        angles = CentralAngles([radians(v) for v in numbers])
         return vertices_from_angles(angles, radius)
     return inscribe_from_sides(numbers)
 

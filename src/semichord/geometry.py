@@ -7,12 +7,10 @@ a side.  The canonical parametrization is the list of central angles
 linear (they sum to a half turn) and every identity in this package is
 testable by construction from them.
 
-This module is the home of the package's side, diameter and radius
-rules: ``_floats`` reads a list of sides, each a real number;
-``_diameter`` reads a diameter, positive and finite as a float; and
-``_radius`` reads a radius, a real number at least the smallest normal
-float (below it R*cos and R*sin lose the precision the on-circle check
-needs), with a finite diameter 2R.
+Every numeric input but the closed forms' lengths is read by ``_real``'s
+rule: a value ``float()`` reads is a real number, a real no float holds
+(``10**400``, a ``Decimal`` sNaN) reads as nan for the caller's range
+check, and any other value, or a str given as a whole sequence, is not.
 A polygon placed from arcs is validated once, where it enters:
 ``CentralAngles`` checks the arc partition, and ``vertices_from_angles``
 then checks only the radius and the lowest vertex, falling back to the
@@ -36,36 +34,46 @@ ARC_SUM_TOL = 1e-12
 VERTEX_TOL = 1e-12
 
 
-def _floats(sides) -> tuple[float, ...]:
-    """``sides`` as a float tuple; a value that is not a real number is a domain error."""
+def _real(value, message: str, error=DomainError) -> float:
+    """``value`` as a float by ``float()``'s rule; ``error(message)`` if not real."""
     try:
-        return tuple(map(float, sides))
-    except (TypeError, ValueError, OverflowError):  # None, "a", 10**400
-        raise DomainError("sides must be real numbers") from None
+        return float(value)
+    except TypeError:  # None, 1j
+        pass
+    except (ValueError, OverflowError):  # "x"; 10**400, a Decimal sNaN
+        if not isinstance(value, (str, bytes, bytearray)):
+            return math.nan  # real, but no float holds it
+    raise error(message)
+
+
+def _floats(values, message="sides must be real numbers", error=DomainError):
+    """``values`` as a float tuple, each read by ``_real``; a str is not a sequence here."""
+    try:
+        if not isinstance(values, (list, tuple)):
+            if isinstance(values, (str, bytes, bytearray)):
+                raise TypeError  # one value, not a sequence of them
+            values = tuple(values)  # a one-shot iterable is read once
+        return tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        if not isinstance(values, (list, tuple)):  # a str, or not iterable
+            raise error(message) from None
+    return tuple([_real(value, message, error) for value in values])
 
 
 def _diameter(d) -> float:
-    """``d`` as a float, checked positive and finite before and after conversion."""
-    try:
-        # A Decimal or Fraction can pass the first test and round to inf or 0.
-        if 0.0 < d < math.inf and 0.0 < (d := float(d)) < math.inf:
-            return d
-    except TypeError:  # str, None, complex
-        raise DomainError("diameter must be a real number") from None
-    except ArithmeticError:  # 10**400 overflows a float; a Decimal NaN has no order
-        pass
+    """``d`` as a float, checked positive and finite."""
+    d = _real(d, "diameter must be a real number")
+    if 0.0 < d < math.inf:
+        return d
     raise DomainError("diameter must be positive and finite")
 
 
-def _radius(radius: float) -> float:
+def _radius(radius) -> float:
     """``radius`` as a float; the one check every radius in the package meets."""
-    try:
-        if sys.float_info.min <= radius and 2.0 * radius < math.inf:
-            return float(radius)
-    except (TypeError, OverflowError):  # str, None, complex, Decimal, 10**400
-        raise DomainError("radius must be a real number") from None
-    except ArithmeticError:  # a Decimal NaN has no order
-        pass
+    R = _real(radius, "radius must be a real number")
+    # Subnormal: R*cos and R*sin lose the precision the on-circle check needs.
+    if sys.float_info.min <= R and 2.0 * R < math.inf:
+        return R
     raise DomainError("radius must be a positive normal float with a finite diameter")
 
 
@@ -76,10 +84,7 @@ class CentralAngles:
     arcs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:
-            arcs = tuple(map(float, self.arcs))
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidAnglesError("arcs must be real numbers") from None
+        arcs = _floats(self.arcs, "arcs must be real numbers", InvalidAnglesError)
         object.__setattr__(self, "arcs", arcs)
         if len(arcs) < 2:
             raise InvalidAnglesError("need at least 2 arcs (3 vertices)")
@@ -123,10 +128,13 @@ class InscribedPolygon:
     def __post_init__(self) -> None:
         R = _radius(self.radius)
         object.__setattr__(self, "radius", R)
+        message = "vertices must be pairs of real numbers"
         try:
-            pts = tuple((float(x), float(y)) for x, y in self.vertices)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidAnglesError("vertices must be pairs of real numbers") from None
+            pts = tuple(_floats(v, message, InvalidAnglesError) for v in self.vertices)
+        except TypeError:  # vertices not iterable
+            raise InvalidAnglesError(message) from None
+        if any(len(pt) != 2 for pt in pts):
+            raise InvalidAnglesError(message)
         object.__setattr__(self, "vertices", pts)
         if len(pts) < 3:
             raise InvalidAnglesError("polygon needs at least 3 vertices")
@@ -141,6 +149,8 @@ class InscribedPolygon:
             xr, yr = x / R, y / R
             # Negated so that a nan coordinate fails it.
             if not abs(xr * xr + yr * yr - 1.0) <= VERTEX_TOL:
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise InvalidAnglesError("vertex coordinates must be finite")
                 raise InvalidAnglesError(f"vertex ({x!r}, {y!r}) is off the circle")
             if y < -tol:
                 raise InvalidAnglesError(f"vertex ({x!r}, {y!r}) is below the diameter")
@@ -186,13 +196,9 @@ def chord_from_angle(arc: float, radius: float) -> float:
     diameter.
     """
     R = _radius(radius)
-    try:
-        if 0.0 <= arc <= math.pi:
-            return 2.0 * R * math.sin(0.5 * float(arc))
-    except TypeError:  # str, None, complex
-        raise DomainError("arc must be a real number") from None
-    except ArithmeticError:  # a Decimal NaN has no order
-        pass
+    arc = _real(arc, "arc must be a real number")
+    if 0.0 <= arc <= math.pi:
+        return 2.0 * R * math.sin(0.5 * arc)
     raise DomainError("arc must lie in [0, pi]")
 
 

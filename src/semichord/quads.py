@@ -127,7 +127,7 @@ def enumerate_incongruent_quads(a: float, b: float, c: float) -> list[QuadArrang
     d = diameter_cubic(a, b, c)
     radius = 0.5 * d
     arrangements: list[QuadArrangement] = []
-    for order in sorted(set(permutations((float(a), float(b), float(c))))):
+    for order in sorted(set(permutations(_floats((a, b, c))))):
         if order > order[::-1]:
             continue
         poly = vertices_from_angles(CentralAngles(arcs_from_sides(order, d)), radius)

@@ -38,6 +38,7 @@ from semichord import (
     rhs_hexagon,
     rhs_pentagon,
     rhs_quadrilateral,
+    run_fuzz,
     solve_diameter,
     vertices_from_angles,
 )
@@ -48,8 +49,8 @@ NAN = math.nan
 INF = math.inf
 HALF = math.pi / 2
 TRIANGLE = ((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0))
-# Radii float arithmetic cannot take: not real, a Decimal, past the float range.
-NON_REAL = ["1.0", None, 1j, Decimal("1"), pytest.param(10**400, id="10**400")]
+# Radii float() rejects, and reals no float holds, which read as nan.
+NON_REAL = ["x", None, 1j, Decimal("sNaN"), pytest.param(10**400, id="10**400")]
 
 NONFINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
@@ -103,13 +104,15 @@ class TestInscribedPolygon:
         ],
     )
     def test_non_finite_vertex_rejected(self, vertex):
-        with pytest.raises(InvalidAnglesError):
+        with pytest.raises(InvalidAnglesError) as info:
             InscribedPolygon(1.0, ((-1.0, 0.0), vertex, (1.0, 0.0)))
+        assert not NONFINITE_TOKEN.search(str(info.value))
 
-    @pytest.mark.parametrize("end", [(NAN, 0.0), (1.0, NAN)])
+    @pytest.mark.parametrize("end", [(NAN, 0.0), (1.0, NAN), (INF, 0.0)])
     def test_non_finite_endpoint_rejected(self, end):
-        with pytest.raises(InvalidAnglesError):
+        with pytest.raises(InvalidAnglesError) as info:
             InscribedPolygon(1.0, ((-1.0, 0.0), (0.0, 1.0), end))
+        assert not NONFINITE_TOKEN.search(str(info.value))
 
 
 class TestRadiusArguments:
@@ -134,6 +137,14 @@ class TestRadiusArguments:
             InscribedPolygon(radius, triangle)
         with pytest.raises(DomainError):
             chord_from_angle(HALF, radius)
+
+    # float() reads both, so they are radii like any other real number.
+    @pytest.mark.parametrize("radius", ["1.0", Decimal("1")])
+    def test_numeric_str_and_decimal_radius_read_as_the_float(self, radius):
+        angles = CentralAngles([HALF, HALF])
+        assert vertices_from_angles(angles, radius) == vertices_from_angles(angles, 1.0)
+        assert InscribedPolygon(radius, TRIANGLE) == InscribedPolygon(1.0, TRIANGLE)
+        assert chord_from_angle(HALF, radius) == chord_from_angle(HALF, 1.0)
 
     def test_smallest_normal_radius_accepted(self):
         radius = 2.0**-1022
@@ -332,6 +343,7 @@ class TestSolverHelpers:
 
 
 SIDES_NOT_REAL = "sides must be real numbers"
+SIDES_NOT_FINITE = "all sides must be positive and finite"
 D_NOT_REAL = "diameter must be a real number"
 D_NOT_FINITE = "diameter must be positive and finite"
 
@@ -344,8 +356,9 @@ class TestSolverNonReal:
         [
             (solve_diameter, (["a", 1],), SIDES_NOT_REAL),
             (solve_diameter, ([None, 1],), SIDES_NOT_REAL),
+            # Real, but no float holds it: read as nan, so the range message.
             pytest.param(
-                solve_diameter, ([10**400, 1],), SIDES_NOT_REAL, id="solve_diameter-10**400"
+                solve_diameter, ([10**400, 1],), SIDES_NOT_FINITE, id="solve_diameter-10**400"
             ),
             (inscribe_from_sides, ([None, 1],), SIDES_NOT_REAL),
             (arc_sum, (None, [1.0]), D_NOT_REAL),
@@ -353,7 +366,7 @@ class TestSolverNonReal:
             pytest.param(arc_sum, (10**400, [1.0]), D_NOT_FINITE, id="arc_sum-10**400"),
             (arc_sum, (Decimal("NaN"), [1.0]), D_NOT_FINITE),
             (arc_sum, (Decimal("sNaN"), [1.0]), D_NOT_FINITE),
-            (arcs_from_sides, ([1.0, 1.0], "2"), D_NOT_REAL),
+            (arcs_from_sides, ([1.0, 1.0], "x"), D_NOT_REAL),
             (arcs_from_sides, ([1.0, 1.0], Decimal("NaN")), D_NOT_FINITE),
             (arcs_from_sides, ([None, 1.0], 2.0), SIDES_NOT_REAL),
             # Past the range test, but inf or 0 once converted to a float.
@@ -377,6 +390,7 @@ class TestSolverNonReal:
         assert inscribe_from_sides([Fraction(3), 4]) == inscribe_from_sides([3.0, 4.0])
         assert arc_sum(5, ["3", 4]) == arc_sum(5.0, [3.0, 4.0])
         assert arcs_from_sides([3, Decimal(4)], Fraction(5)) == arcs_from_sides([3.0, 4.0], 5.0)
+        assert arcs_from_sides([1.0, 1.0], "2") == arcs_from_sides([1.0, 1.0], 2.0)
 
 
 class TestQuadsAndClosedFormsNonReal:
@@ -388,13 +402,16 @@ class TestQuadsAndClosedFormsNonReal:
             (diameter_cubic, ("a", 1, 1), SIDES_NOT_REAL),
             (diameter_cubic, (None, 1, 1), SIDES_NOT_REAL),
             pytest.param(
-                diameter_cubic, (10**400, 1, 1), SIDES_NOT_REAL, id="diameter_cubic-10**400"
+                diameter_cubic,
+                (10**400, 1, 1),
+                "all three sides must be positive and finite",
+                id="diameter_cubic-10**400",
             ),
-            (closing_side, (1.0, 1.0, "2"), D_NOT_REAL),
+            (closing_side, (1.0, 1.0, "x"), D_NOT_REAL),
             (closing_side, (1.0, None, 2.0), SIDES_NOT_REAL),
             (enumerate_incongruent_quads, (None, 1, 1), SIDES_NOT_REAL),
             (ChordSet, (("a",), 1.0), SIDES_NOT_REAL),
-            (ChordSet, ((1.0,), "2"), D_NOT_REAL),
+            (ChordSet, ((1.0,), "x"), D_NOT_REAL),
             (chord_from_angle, ("a", 1.0), "arc must be a real number"),
             (rhs_quadrilateral, ("a", 1, 1, 2), "lengths must be real numbers"),
             (rhs_quadrilateral, (1, 1, 1, None), "lengths must be real numbers"),
@@ -435,8 +452,11 @@ class TestQuadsAndClosedFormsNonReal:
             enumerate_incongruent_quads(3.0, 4.0, 5.0)
         )
         assert ChordSet(("1", Decimal(1)), Fraction(2)) == ChordSet((1.0, 1.0), 2.0)
+        assert ChordSet((1.0,), "2") == ChordSet((1.0,), 2.0)
+        assert closing_side(1.0, 1.0, "2") == closing_side(1.0, 1.0, 2.0)
         assert chord_from_angle(Fraction(1), 1.0) == chord_from_angle(1.0, 1.0)
-        assert FuzzConfig(tolerance_rel=Decimal("1e-9")).tolerance_rel == Decimal("1e-9")
+        tolerance = FuzzConfig(tolerance_rel=Decimal("1e-9")).tolerance_rel
+        assert tolerance == 1e-9 and type(tolerance) is float
 
     @pytest.mark.parametrize(
         "call, args, expected",
@@ -453,6 +473,59 @@ class TestQuadsAndClosedFormsNonReal:
         result = call(*args)
         assert result == expected
         assert type(result) is type(expected)
+
+
+class TestOneReadingRule:
+    """Every input is read as ``float()`` reads it, whatever its role."""
+
+    # A real that no float holds reads as nan, so it gets a quiet NaN's message.
+    @pytest.mark.parametrize(
+        "call, args, position",
+        [
+            (lambda a, b: solve_diameter([a, b]), (1.0, 1.0), 0),
+            (lambda a, b: solve_diameter([a, b]), (1.0, 1.0), 1),
+            (diameter_cubic, (1.0, 1.0, 1.0), 0),
+            (diameter_cubic, (1.0, 1.0, 1.0), 1),
+            (diameter_cubic, (1.0, 1.0, 1.0), 2),
+            (lambda a, b, d: ChordSet((a, b), d), (1.0, 1.0, 2.0), 0),
+            (lambda a, b, d: ChordSet((a, b), d), (1.0, 1.0, 2.0), 1),
+            (lambda a, b, d: ChordSet((a, b), d), (1.0, 1.0, 2.0), 2),
+        ],
+    )
+    def test_signaling_nan_gets_the_quiet_nan_message(self, call, args, position):
+        messages = []
+        for nan in (Decimal("NaN"), Decimal("sNaN")):
+            bad = list(args)
+            bad[position] = nan
+            with pytest.raises(DomainError) as info:
+                call(*bad)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    # A str or bytes is one value, not a sequence of digits to read one by one.
+    @pytest.mark.parametrize(
+        "call, args, error, message",
+        [
+            (solve_diameter, ("34",), DomainError, SIDES_NOT_REAL),
+            (solve_diameter, (b"34",), DomainError, SIDES_NOT_REAL),
+            (inscribe_from_sides, (bytearray(b"34"),), DomainError, SIDES_NOT_REAL),
+            (arc_sum, (2.0, "11"), DomainError, SIDES_NOT_REAL),
+            (arcs_from_sides, ("11", 2.0), DomainError, SIDES_NOT_REAL),
+            (ChordSet, ("11", 2.0), DomainError, SIDES_NOT_REAL),
+            (CentralAngles, ("12",), InvalidAnglesError, "arcs must be real numbers"),
+            (
+                InscribedPolygon,
+                (1.0, ((-1.0, 0.0), (0.0, 1.0), "10")),
+                InvalidAnglesError,
+                "vertices must be pairs of real numbers",
+            ),
+        ],
+    )
+    def test_str_sequence_is_not_real(self, call, args, error, message):
+        with pytest.raises(error) as info:
+            call(*args)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 def _finite(value) -> bool:
@@ -514,6 +587,27 @@ def test_public_functions_return_finite_or_raise_a_coded_error(name, position, v
         assert _finite(result)
 
 
+# Every real-valued position above but the closed forms' (which keep exact
+# arithmetic) and FuzzConfig's integer fields.
+FLOAT_POSITIONS = [
+    (name, i)
+    for name, (_, args) in CONTRACT_CALLS.items()
+    if not name.startswith("rhs_")
+    for i, value in enumerate(args)
+    if type(value) is float
+]
+
+
+@pytest.mark.parametrize("kind", [Decimal, Fraction, repr])
+@pytest.mark.parametrize("name, position", FLOAT_POSITIONS)
+def test_other_reals_read_as_the_float(name, position, kind):
+    call, args = CONTRACT_CALLS[name]
+    other = list(args)
+    other[position] = kind(args[position])
+    # repr also tells a float field from a Decimal or Fraction one.
+    assert repr(call(*other)) == repr(call(*args))
+
+
 class TestFuzzConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -527,6 +621,11 @@ class TestFuzzConfig:
     def test_non_finite_config_rejected(self, kwargs):
         with pytest.raises(DomainError):
             FuzzConfig(**kwargs)
+
+    def test_decimal_radius_gives_the_float_report(self):
+        config = FuzzConfig(radius_min=Decimal("0.5"), trials=3)
+        assert config == FuzzConfig(radius_min=0.5, trials=3)
+        assert run_fuzz(config) == run_fuzz(FuzzConfig(radius_min=0.5, trials=3))
 
 
 class TestCli:
