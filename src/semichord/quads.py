@@ -30,7 +30,7 @@ from .geometry import (
 )
 from .geometry import diagonal  # noqa: F401  (rebound here by bench/spans.py)
 from .identity import rhs_quadrilateral
-from .solver import _newton_descent, arcs_from_sides
+from .solver import _SIDES_NOT_FINITE, _newton_descent, arcs_from_sides
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +71,7 @@ def diameter_cubic(a: float, b: float, c: float) -> float:
     """
     a, b, c = _floats((a, b, c))
     if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < c < math.inf):
-        raise DomainError("all three sides must be positive and finite")
+        raise DomainError(_SIDES_NOT_FINITE)
     m = max(a, b, c)
     ca, cb, cc = a / m, b / m, c / m
     s = ca * ca + cb * cb + cc * cc

@@ -53,6 +53,8 @@ MAX_ITERATIONS = 200
 #: Ratios may exceed 1 by this much before counting as a domain error.
 _CLAMP_SLACK = 1e-15
 
+_SIDES_NOT_FINITE = "all sides must be positive and finite"
+
 
 @dataclass(frozen=True, slots=True)
 class DiameterSolution:
@@ -79,13 +81,19 @@ def _ratio(a: float, d: float) -> float:
     d, or one that :func:`_arcs` has yet to check.
     """
     if not 0.0 < a < math.inf:
-        raise DomainError("sides must be positive and finite")
+        raise DomainError(_SIDES_NOT_FINITE)
     ratio = a / d
-    if ratio > 1.0:
-        if ratio > 1.0 + _CLAMP_SLACK:
-            raise DomainError(f"side {a!r} exceeds diameter {d!r}")
-        ratio = 1.0
-    return ratio
+    if ratio > 1.0 + _CLAMP_SLACK:
+        raise DomainError(f"side {a!r} exceeds diameter {d!r}")
+    return min(ratio, 1.0)
+
+
+def _sides_and_diameter(sides, d) -> tuple[tuple[float, ...], float]:
+    """A non-empty float tuple of ``sides`` and a checked diameter ``d``."""
+    sides = _floats(sides)
+    if not sides:
+        raise DomainError("need at least one side")
+    return sides, _diameter(d)
 
 
 def arc_sum(d: float, sides) -> float:
@@ -95,16 +103,11 @@ def arc_sum(d: float, sides) -> float:
     Ratios a/d infinitesimally above 1 (floating-point noise) are
     clamped; anything beyond the slack is a domain error.
     """
-    sides = _floats(sides)
-    if not sides:
-        raise DomainError("need at least one side")
-    d = _diameter(d)
+    sides, d = _sides_and_diameter(sides, d)
+    total = 0.0
     for a in sides:
         if not 0.0 <= a < math.inf:
             raise DomainError("sides must be non-negative and finite")
-    total = 0.0
-    for a in sides:
-        # a <= d keeps a / d <= 1, where _ratio would not clamp it.
         total += math.asin(a / d if a <= d else _ratio(a, d))
     return 2.0 * total
 
@@ -167,13 +170,13 @@ def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
     sides = _floats(sides)
     if len(sides) < 2:
         raise DomainError("need at least 2 sides to form a polygon on the semicircle")
+    if not 0.0 < min(sides):
+        raise DomainError(_SIDES_NOT_FINITE)
     m = max(sides)
-    if not (0.0 < min(sides) and m < math.inf):
-        raise DomainError("all sides must be positive and finite")
     ratios = [a / m for a in sides]
     ratio_sum = math.fsum(ratios)
-    if ratio_sum != ratio_sum:  # a nan side that min and max passed over
-        raise DomainError("all sides must be positive and finite")
+    if ratio_sum != ratio_sum:  # inf / inf, or a nan side that min passed over
+        raise DomainError(_SIDES_NOT_FINITE)
 
     def g(t: float) -> float:
         total = 0.0
@@ -228,11 +231,7 @@ def arcs_from_sides(sides, d: float) -> list[float]:
     well-conditioned rounding.  Raises :class:`DomainError` for a side
     that is not positive and finite, or longer than d beyond the clamp.
     """
-    sides = _floats(sides)
-    if not sides:
-        raise DomainError("need at least one side")
-    d = _diameter(d)
-    return _arcs(sides, d)
+    return _arcs(*_sides_and_diameter(sides, d))
 
 
 def _arcs(sides: tuple[float, ...], d: float) -> list[float]:

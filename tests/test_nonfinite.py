@@ -333,7 +333,7 @@ class TestSolverHelpers:
     def test_arcs_from_sides_side_message_names_no_value(self, sides):
         with pytest.raises(DomainError) as info:
             arcs_from_sides(sides, 2.0)
-        assert str(info.value) == "sides must be positive and finite"
+        assert str(info.value) == "all sides must be positive and finite"
 
     @pytest.mark.parametrize("d", [NAN, INF, -INF])
     def test_closing_side_rejects_non_finite_diameter(self, d):
@@ -404,7 +404,7 @@ class TestQuadsAndClosedFormsNonReal:
             pytest.param(
                 diameter_cubic,
                 (10**400, 1, 1),
-                "all three sides must be positive and finite",
+                SIDES_NOT_FINITE,
                 id="diameter_cubic-10**400",
             ),
             (closing_side, (1.0, 1.0, "x"), D_NOT_REAL),
