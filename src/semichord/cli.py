@@ -170,8 +170,6 @@ def _to_json(value: Any) -> str:
             emit("true" if value else "false")
         elif kind is int:
             emit(str(value))
-        elif value is None:
-            emit("null")
         else:
             emit(encode_basestring_ascii(str(value)))
 
@@ -197,7 +195,7 @@ def _to_text(value: Any) -> str:
         elif isinstance(value, float):
             lines.append(f"{prefix} = {_format_float(value)}")
         else:
-            lines.append(f"{prefix} = {'null' if value is None else value}")
+            lines.append(f"{prefix} = {value}")
 
     walk(value, "")
     return "\n".join(lines)
@@ -273,8 +271,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         document["payload"], document["human_summary"] = args.handler(args)
         # Rendered inside the try so a nan or inf in the payload is a domain error.
         output = render(document)
-    except (SemichordError, IndexError) as exc:
-        code = getattr(exc, "code", "index")
+    except SemichordError as exc:
+        code = exc.code
         document.update(
             status="error",
             human_summary=f"error ({code}): {exc}",

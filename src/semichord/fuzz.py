@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .geometry import (
     CentralAngles,
+    _integer,
     _real,
     side_lengths,  # noqa: F401  (rebound here by bench/spans.py)
     vertices_from_angles,
@@ -90,6 +91,9 @@ class SplitMix64:
         return ((self.next_u64() >> 11) + 1) * 2.0**-53
 
     def next_below(self, n: int) -> int:
+        """Draw in [0, n) for an integer n >= 1."""
+        if _integer(n, "n must be an integer") < 1:
+            raise DomainError("n must be at least 1")
         return self.next_u64() % n
 
 
@@ -105,9 +109,7 @@ class FuzzConfig:
 
     def __post_init__(self) -> None:
         for name in ("trials", "n_min", "n_max", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise DomainError(f"{name} must be an integer")
+            _integer(getattr(self, name), f"{name} must be an integer")
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if not 3 <= self.n_min <= self.n_max <= 64:
@@ -150,9 +152,7 @@ def random_angles(n: int, gen: SplitMix64) -> CentralAngles:
     Draws n-1 positive uniform variates and rescales them to total pi;
     deterministic for a given generator state.
     """
-    if not isinstance(n, int):
-        raise DomainError("n must be an integer")
-    if n < 3:
+    if _integer(n, "n must be an integer") < 3:
         raise DomainError("need at least 3 vertices")
     variates = [gen.next_positive_float() for _ in range(n - 1)]
     total = math.fsum(variates)

@@ -7,10 +7,12 @@ a side.  The canonical parametrization is the list of central angles
 linear (they sum to a half turn) and every identity in this package is
 testable by construction from them.
 
-Every numeric input but the closed forms' lengths is read by ``_real``'s
+Every real input but the closed forms' lengths is read by ``_real``'s
 rule: a value ``float()`` reads is a real number, a real no float holds
 (``10**400``, a ``Decimal`` sNaN) reads as nan for the caller's range
 check, and any other value, or a str given as a whole sequence, is not.
+An integer input (a count, an index, a bound) is read by ``_integer``'s
+rule: an int that is not a bool.
 A polygon placed from arcs is validated once, where it enters:
 ``CentralAngles`` checks the arc partition, and ``vertices_from_angles``
 then checks only the radius and the lowest vertex, falling back to the
@@ -44,6 +46,13 @@ def _real(value, message: str, error=DomainError) -> float:
         if not isinstance(value, (str, bytes, bytearray)):
             return math.nan  # real, but no float holds it
     raise error(message)
+
+
+def _integer(value, message: str) -> int:
+    """``value`` if it is an int that is not a bool; ``DomainError(message)`` if not."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DomainError(message)
 
 
 def _floats(values, message="sides must be real numbers", error=DomainError):
@@ -246,7 +255,13 @@ def side_lengths(poly: InscribedPolygon) -> list[float]:
 
 
 def diagonal(poly: InscribedPolygon, i: int, j: int) -> float:
-    """Euclidean distance between vertices ``i`` and ``j`` (i < j)."""
+    """Euclidean distance between vertices ``i`` and ``j`` (i < j).
+
+    An index that is not an int raises ``DomainError``, and one out of
+    range ``IndexError``.
+    """
+    message = "vertex indices must be integers"
+    i, j = _integer(i, message), _integer(j, message)
     if not 0 <= i < j < poly.n:
         raise IndexError(f"need 0 <= i < j < {poly.n}, got i={i}, j={j}")
     (xi, yi), (xj, yj) = poly.vertices[i], poly.vertices[j]

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .geometry import InscribedPolygon, diagonal, side_lengths
+from .geometry import InscribedPolygon, _integer, diagonal, side_lengths
 
 #: Diameters the identities are evaluated at.  Each cross term is a
 #: product of three chords no longer than d, so below 2^330 it stays
@@ -234,7 +234,7 @@ def nested_quadrilateral_check(poly: InscribedPolygon, k: int) -> IdentityReport
     [1, n-3].
     """
     n = poly.n
-    if not 1 <= k <= n - 3:
+    if not 1 <= _integer(k, "k must be an integer") <= n - 3:
         raise IndexError(f"need 1 <= k <= {n - 3}, got k={k}")
     a = diagonal(poly, 0, k)
     b = diagonal(poly, k, k + 1)

@@ -98,6 +98,7 @@ class TestCentralAngles:
     def test_numeric_string_arcs_convert(self):
         angles = CentralAngles(["1.0", repr(math.pi - 1.0)])
         assert angles.arcs == (1.0, math.pi - 1.0)
+        assert len(angles) == 2
 
     # Which message wins must not depend on where a nan sits among the
     # arcs: a negative arc is reported before a non-finite sum.

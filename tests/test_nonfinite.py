@@ -28,13 +28,17 @@ from semichord import (
     InscribedPolygon,
     InvalidAnglesError,
     SemichordError,
+    SplitMix64,
     arc_sum,
     arcs_from_sides,
     chord_from_angle,
     closing_side,
+    diagonal,
     diameter_cubic,
     enumerate_incongruent_quads,
     inscribe_from_sides,
+    nested_quadrilateral_check,
+    random_angles,
     rhs_hexagon,
     rhs_pentagon,
     rhs_quadrilateral,
@@ -346,6 +350,7 @@ SIDES_NOT_REAL = "sides must be real numbers"
 SIDES_NOT_FINITE = "all sides must be positive and finite"
 D_NOT_REAL = "diameter must be a real number"
 D_NOT_FINITE = "diameter must be positive and finite"
+VERTICES_NOT_REAL = "vertices must be pairs of real numbers"
 
 
 class TestSolverNonReal:
@@ -502,7 +507,8 @@ class TestOneReadingRule:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
-    # A str or bytes is one value, not a sequence of digits to read one by one.
+    # A str or bytes is one value, not a sequence of digits to read one by
+    # one; None and an int are no sequence at all.
     @pytest.mark.parametrize(
         "call, args, error, message",
         [
@@ -519,12 +525,44 @@ class TestOneReadingRule:
                 InvalidAnglesError,
                 "vertices must be pairs of real numbers",
             ),
+            (InscribedPolygon, (1.0, None), InvalidAnglesError, VERTICES_NOT_REAL),
+            (InscribedPolygon, (1.0, 5), InvalidAnglesError, VERTICES_NOT_REAL),
         ],
     )
     def test_str_sequence_is_not_real(self, call, args, error, message):
         with pytest.raises(error) as info:
             call(*args)
         assert type(info.value) is error
+        assert str(info.value) == message
+
+
+QUADRILATERAL = vertices_from_angles(CentralAngles([1.0, 1.0, math.pi - 2.0]), 1.0)
+
+
+class TestIntegerInputs:
+    """An integer input is an int that is not a bool, by ``FuzzConfig``'s rule.
+
+    Each of these read a bool as 1, raised a bare TypeError or
+    ZeroDivisionError, or returned a negative draw.  An out-of-range
+    integer index still raises IndexError.
+    """
+
+    @pytest.mark.parametrize(
+        "call, args, message",
+        [
+            (random_angles, (True, SplitMix64(0)), "n must be an integer"),
+            (diagonal, (QUADRILATERAL, 0.0, 2), "vertex indices must be integers"),
+            (nested_quadrilateral_check, (QUADRILATERAL, 1.5), "k must be an integer"),
+            (nested_quadrilateral_check, (QUADRILATERAL, "1"), "k must be an integer"),
+            (SplitMix64(1).next_below, (-3,), "n must be at least 1"),
+            (SplitMix64(1).next_below, (0,), "n must be at least 1"),
+        ],
+        ids=["random_angles-bool", "diagonal-float", "k-float", "k-str", "below-3", "below0"],
+    )
+    def test_raises_domain_error(self, call, args, message):
+        with pytest.raises(DomainError) as info:
+            call(*args)
+        assert type(info.value) is DomainError
         assert str(info.value) == message
 
 
