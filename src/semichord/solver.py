@@ -101,7 +101,8 @@ def arc_sum(d: float, sides) -> float:
 
     Strictly decreasing and continuous in d on [max(sides), inf).
     Ratios a/d infinitesimally above 1 (floating-point noise) are
-    clamped; anything beyond the slack is a domain error.
+    clamped.  A ratio beyond the slack, or a side that is negative or
+    not finite, is a domain error, raised for the first such side.
     """
     sides, d = _sides_and_diameter(sides, d)
     total = 0.0

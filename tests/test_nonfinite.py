@@ -337,7 +337,7 @@ class TestSolverHelpers:
     def test_arcs_from_sides_side_message_names_no_value(self, sides):
         with pytest.raises(DomainError) as info:
             arcs_from_sides(sides, 2.0)
-        assert str(info.value) == "all sides must be positive and finite"
+        assert str(info.value) == SIDES_NOT_FINITE
 
     @pytest.mark.parametrize("d", [NAN, INF, -INF])
     def test_closing_side_rejects_non_finite_diameter(self, d):
@@ -523,7 +523,7 @@ class TestOneReadingRule:
                 InscribedPolygon,
                 (1.0, ((-1.0, 0.0), (0.0, 1.0), "10")),
                 InvalidAnglesError,
-                "vertices must be pairs of real numbers",
+                VERTICES_NOT_REAL,
             ),
             (InscribedPolygon, (1.0, None), InvalidAnglesError, VERTICES_NOT_REAL),
             (InscribedPolygon, (1.0, 5), InvalidAnglesError, VERTICES_NOT_REAL),
