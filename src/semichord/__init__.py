@@ -4,6 +4,7 @@ semicircle whose longest side is the diameter."""
 from .errors import (
     ConvergenceError,
     DomainError,
+    IndexRangeError,
     InvalidAnglesError,
     ParseError,
     PlacementError,
@@ -69,6 +70,7 @@ __all__ = [
     "FuzzFailure",
     "FuzzReport",
     "IdentityReport",
+    "IndexRangeError",
     "InscribedPolygon",
     "InvalidAnglesError",
     "ParseError",

@@ -22,6 +22,10 @@ class DomainError(SemichordError, ValueError):
     code = "domain"
 
 
+class IndexRangeError(DomainError, IndexError):
+    """An index, or a vertex count, lies outside what a polygon allows."""
+
+
 class InvalidAnglesError(SemichordError, ValueError):
     """An arc partition violates the semicircle invariants."""
 

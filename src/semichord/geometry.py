@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidAnglesError
+from .errors import DomainError, IndexRangeError, InvalidAnglesError
 
 #: Absolute tolerance on the arc partition summing to a half turn.
 ARC_SUM_TOL = 1e-12
@@ -148,9 +148,7 @@ class InscribedPolygon:
         if len(pts) < 3:
             raise InvalidAnglesError("polygon needs at least 3 vertices")
         tol = VERTEX_TOL * R
-        x0, y0 = pts[0]
-        xn, yn = pts[-1]
-        if not (math.hypot(x0 + R, y0) <= tol and math.hypot(xn - R, yn) <= tol):
+        if not (math.dist(pts[0], (-R, 0.0)) <= tol and math.dist(pts[-1], (R, 0.0)) <= tol):
             raise InvalidAnglesError("diameter endpoints must sit at (-R, 0) and (R, 0)")
         prev_angle = math.pi
         for x, y in pts:
@@ -248,24 +246,21 @@ def vertices_from_angles(angles: CentralAngles, radius: float) -> InscribedPolyg
 def side_lengths(poly: InscribedPolygon) -> list[float]:
     """Euclidean distances between consecutive vertices (n-1 values)."""
     pts = poly.vertices
-    return [
-        math.hypot(pts[i + 1][0] - pts[i][0], pts[i + 1][1] - pts[i][1])
-        for i in range(len(pts) - 1)
-    ]
+    return [math.dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
 
 
 def diagonal(poly: InscribedPolygon, i: int, j: int) -> float:
     """Euclidean distance between vertices ``i`` and ``j`` (i < j).
 
     An index that is not an int raises ``DomainError``, and one out of
-    range ``IndexError``.
+    range ``IndexRangeError``, a ``DomainError`` that is also an
+    ``IndexError``.
     """
     message = "vertex indices must be integers"
     i, j = _integer(i, message), _integer(j, message)
     if not 0 <= i < j < poly.n:
-        raise IndexError(f"need 0 <= i < j < {poly.n}, got i={i}, j={j}")
-    (xi, yi), (xj, yj) = poly.vertices[i], poly.vertices[j]
-    return math.hypot(xj - xi, yj - yi)
+        raise IndexRangeError(f"need 0 <= i < j < {poly.n}, got i={i}, j={j}")
+    return math.dist(poly.vertices[i], poly.vertices[j])
 
 
 def mirror(poly: InscribedPolygon) -> InscribedPolygon:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, IndexRangeError
 from .geometry import InscribedPolygon, _integer, diagonal, side_lengths
 
 #: Diameters the identities are evaluated at.  Each cross term is a
@@ -158,16 +158,15 @@ def _general_identity(
     k = 1..n-3 the tuple ``(first, side, second, product)`` of cross
     term k.  ``first`` is the chord (1, k+1), ``side`` the chord
     (k+1, k+2) and ``second`` the chord (k+2, n); they are the short
-    sides of nested quadrilateral k, measured with ``math.hypot``
-    straight from the vertex coordinates, the same arithmetic as
-    ``diagonal``.  ``evaluate_general`` wraps this; ``_check_residuals``
-    reads it directly.
+    sides of nested quadrilateral k, measured with ``math.dist``
+    straight from the vertices, the same arithmetic as ``diagonal``.
+    ``evaluate_general`` wraps this; ``_check_residuals`` reads it
+    directly.
     """
     pts = poly.vertices
-    x0, y0 = pts[0]
-    xe, ye = pts[-1]
+    start, end = pts[0], pts[-1]
     sides = side_lengths(poly)
-    d = math.hypot(xe - x0, ye - y0)
+    d = math.dist(start, end)
     if not _D_MIN <= d <= _D_MAX:
         raise DomainError(_OUT_OF_WINDOW)
     # Both sums add left to right with plain +=, so every Python rounds
@@ -178,11 +177,9 @@ def _general_identity(
     cross = 0.0
     chords = []
     for k in range(1, len(pts) - 2):
-        xk, yk = pts[k]
-        xm, ym = pts[k + 1]
-        first = math.hypot(xk - x0, yk - y0)
+        first = math.dist(start, pts[k])
         side = sides[k]
-        second = math.hypot(xe - xm, ye - ym)
+        second = math.dist(pts[k + 1], end)
         product = first * side * second
         cross += product
         chords.append((first, side, second, product))
@@ -235,7 +232,7 @@ def nested_quadrilateral_check(poly: InscribedPolygon, k: int) -> IdentityReport
     """
     n = poly.n
     if not 1 <= _integer(k, "k must be an integer") <= n - 3:
-        raise IndexError(f"need 1 <= k <= {n - 3}, got k={k}")
+        raise IndexRangeError(f"need 1 <= k <= {n - 3}, got k={k}")
     a = diagonal(poly, 0, k)
     b = diagonal(poly, k, k + 1)
     c = diagonal(poly, k + 1, n - 1)
@@ -255,7 +252,7 @@ def corner_identity_residual(poly: InscribedPolygon) -> float:
     ``_check_residuals``, but runs none of the nested checks.
     """
     if poly.n < 4:
-        raise IndexError("corner identity needs at least 4 vertices")
+        raise IndexRangeError("corner identity needs at least 4 vertices")
     sides, d, _, _, chords = _general_identity(poly)
     return _corner_residual(poly, sides, d, chords[-1][0])
 
@@ -268,8 +265,7 @@ def _corner_residual(
     ``sides`` and ``a1p`` come from ``_general_identity``; |PE| is
     measured here from the vertices.
     """
-    (xp, yp), (xe, ye) = poly.vertices[-3], poly.vertices[-1]
-    pe = math.hypot(xe - xp, ye - yp)
+    pe = math.dist(poly.vertices[-3], poly.vertices[-1])
     pq, qe = sides[-2], sides[-1]
     pe_sq = pe * pe
     corner_rhs = pq * pq + qe * qe + 2.0 * pq * qe * a1p / d

@@ -160,7 +160,7 @@ def counterexample_report() -> CounterexampleReport:
     relation_residual = abs(d * d - rhs_quadrilateral(a, b, c, d))
     center = (0.5 * d, 0.0)
     radius = 0.5 * d
-    off_circle = abs(math.hypot(corner[0] - center[0], corner[1] - center[1]) - radius)
+    off_circle = abs(math.dist(corner, center) - radius)
     return CounterexampleReport(
         relation_holds=relation_residual <= 1e-12 * d * d,
         relation_residual=relation_residual,

@@ -1,8 +1,10 @@
 """Tests for the semicircle coordinate layer."""
 
 import math
+import struct
 import sys
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +18,7 @@ from semichord import (
     FuzzConfig,
     InscribedPolygon,
     InvalidAnglesError,
+    SemichordError,
     SplitMix64,
     chord_from_angle,
     diagonal,
@@ -25,8 +28,9 @@ from semichord import (
     side_lengths,
     vertices_from_angles,
 )
-from semichord import fuzz
+from semichord import corner_identity_residual, fuzz
 from semichord.geometry import ARC_SUM_TOL
+from semichord.identity import _D_MAX, _D_MIN, _general_identity
 
 
 @st.composite
@@ -256,8 +260,10 @@ class TestDiagonal:
     @pytest.mark.parametrize("i,j", [(2, 2), (2, 1), (-1, 2), (0, 3)])
     def test_index_errors(self, i, j):
         poly = vertices_from_angles(CentralAngles([math.pi / 2, math.pi / 2]), 1.0)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError) as info:
             diagonal(poly, i, j)
+        assert info.value.code == "domain"
+        assert isinstance(info.value, SemichordError)
 
 
 class TestChordSet:
@@ -424,3 +430,73 @@ def test_fuzz_polygons_pass_the_validator(monkeypatch):
     assert len(built) == 8 * 150
     for poly in built:
         assert InscribedPolygon(poly.radius, poly.vertices) == poly
+
+
+# The package measures every two-point distance with math.dist.  These
+# pin it, bit for bit, to the distance written out with math.hypot, on
+# each Python the suite runs on.
+def _hand(p, q):
+    """The distance from p to q written out with math.hypot: the reference."""
+    (xi, yi), (xj, yj) = p, q
+    return math.hypot(xj - xi, yj - yi)
+
+
+def _bits(values):
+    """Each float's bytes, with every nan alike."""
+    return ["nan" if math.isnan(v) else struct.pack("<d", v) for v in values]
+
+
+_MAX = sys.float_info.max
+_EDGE = (0.0, -0.0, 5e-324, -5e-324, 1.0, _MAX, -_MAX, math.inf, -math.inf, math.nan)
+
+
+def test_edge_distances_match_the_hand_written_form():
+    # max - -max overflows; every other pairing of the values is here too.
+    for x0, y0, x1, y1 in product(_EDGE, repeat=4):
+        p, q = (x0, y0), (x1, y1)
+        pair = SimpleNamespace(vertices=(p, q), n=2)
+        want = _bits([_hand(p, q)])
+        assert _bits(side_lengths(pair)) == want, (p, q)
+        assert _bits([diagonal(pair, 0, 1)]) == want, (p, q)
+
+
+@given(
+    angles=arc_partitions(max_n=24),
+    k=st.integers(min_value=-1000, max_value=1000),
+    stress=st.none() | st.integers(min_value=0, max_value=2**64 - 1),
+)
+@settings(max_examples=200, deadline=None)
+@example(angles=CentralAngles(_STRESSED), k=0, stress=None)
+@example(angles=CentralAngles([math.pi / 9] * 9), k=-1000, stress=3)
+@example(angles=CentralAngles([math.pi / 9] * 9), k=1000, stress=3)
+@example(angles=CentralAngles([math.pi / 9] * 9), k=-331, stress=None)
+@example(angles=CentralAngles([math.pi / 9] * 9), k=329, stress=None)
+def test_distances_match_the_hand_written_form(angles, k, stress):
+    if stress is not None:
+        angles = fuzz._stressed(angles, SplitMix64(stress))
+    poly = vertices_from_angles(angles, 2.0**k)
+    pts, n = poly.vertices, poly.n
+    want = [_hand(p, q) for p, q in zip(pts, pts[1:])]
+    assert _bits(side_lengths(poly)) == _bits(want)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            assert _bits([diagonal(poly, i, j)]) == _bits([_hand(pts[i], pts[j])])
+
+    d = _hand(pts[0], pts[-1])
+    if not _D_MIN <= d <= _D_MAX:
+        with pytest.raises(DomainError):
+            _general_identity(poly)
+        return
+    _, kernel_d, _, _, chords = _general_identity(poly)
+    assert _bits([kernel_d]) == _bits([d])
+    for m, (first, _, second, _) in enumerate(chords, start=1):
+        assert _bits([first]) == _bits([_hand(pts[0], pts[m])])
+        assert _bits([second]) == _bits([_hand(pts[m + 1], pts[-1])])
+    if n >= 4:
+        # The corner's residual from the hand-written |PE|, |PQ|, |QE| and |A1P|.
+        p, q, e = pts[-3:]
+        pe, pq, qe, a1p = _hand(p, e), _hand(p, q), _hand(q, e), _hand(pts[0], p)
+        pe_sq = pe * pe
+        rhs = pq * pq + qe * qe + 2.0 * pq * qe * a1p / d
+        want = abs(pe_sq - rhs) / pe_sq if pe_sq else 0.0
+        assert _bits([corner_identity_residual(poly)]) == _bits([want])

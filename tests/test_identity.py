@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from semichord import (
     CentralAngles,
     DomainError,
+    SemichordError,
     SplitMix64,
     corner_identity_residual,
     diagonal,
@@ -192,15 +193,19 @@ class TestNestedQuadrilateral:
     @pytest.mark.parametrize("k", [0, 2, -1])
     def test_index_errors(self, k):
         poly = _poly((55.0, 55.0, 70.0), 4.0)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError) as info:
             nested_quadrilateral_check(poly, k)
+        assert info.value.code == "domain"
+        assert isinstance(info.value, SemichordError)
 
 
 class TestCornerIdentity:
     def test_needs_four_vertices(self):
         tri = vertices_from_angles(CentralAngles([math.pi / 2, math.pi / 2]), 1.0)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError) as info:
             corner_identity_residual(tri)
+        assert info.value.code == "domain"
+        assert isinstance(info.value, SemichordError)
 
     def test_figure_hexagon(self):
         assert corner_identity_residual(
