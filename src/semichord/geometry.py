@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from math import cos, sin
 
 from .errors import DomainError, IndexRangeError, InvalidAnglesError
 
@@ -205,7 +206,7 @@ def chord_from_angle(arc: float, radius: float) -> float:
     R = _radius(radius)
     arc = _real(arc, "arc must be a real number")
     if 0.0 <= arc <= math.pi:
-        return 2.0 * R * math.sin(0.5 * arc)
+        return 2.0 * R * sin(0.5 * arc)
     raise DomainError("arc must lie in [0, pi]")
 
 
@@ -233,7 +234,7 @@ def vertices_from_angles(angles: CentralAngles, radius: float) -> InscribedPolyg
     theta = math.pi
     for arc in angles.arcs[:-1]:
         theta -= arc
-        pts.append((R * math.cos(theta), R * math.sin(theta)))
+        pts.append((R * cos(theta), R * sin(theta)))
     pts.append((R, 0.0))
     if pts[-2][1] < 0.0 or not isinstance(angles, CentralAngles):
         return InscribedPolygon(R, tuple(pts))

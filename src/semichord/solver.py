@@ -34,8 +34,9 @@ the same d from ``_solve`` without the certificate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import asin, fsum, inf, isfinite, pi, sqrt, ulp
+from operator import mul
 
 from .errors import ConvergenceError, DomainError
 from .geometry import (
@@ -80,7 +81,7 @@ def _ratio(a: float, d: float) -> float:
     Only ratios the callers cannot pass inline come here: a side above
     d, or one that :func:`_arcs` has yet to check.
     """
-    if not 0.0 < a < math.inf:
+    if not 0.0 < a < inf:
         raise DomainError(_SIDES_NOT_FINITE)
     ratio = a / d
     if ratio > 1.0 + _CLAMP_SLACK:
@@ -107,9 +108,9 @@ def arc_sum(d: float, sides) -> float:
     sides, d = _sides_and_diameter(sides, d)
     total = 0.0
     for a in sides:
-        if not 0.0 <= a < math.inf:
+        if not 0.0 <= a < inf:
             raise DomainError("sides must be non-negative and finite")
-        total += math.asin(a / d if a <= d else _ratio(a, d))
+        total += asin(a / d if a <= d else _ratio(a, d))
     return 2.0 * total
 
 
@@ -154,8 +155,8 @@ def _bracket_end(sides: tuple[float, ...], d: float, sign: float) -> float:
     steps stop at the largest side, where the arc sum is at least pi.
     """
     floor = max(sides)
-    end, step = d, math.ulp(d)
-    while sign * (arc_sum(end, sides) - math.pi) > 0.0:
+    end, step = d, ulp(d)
+    while sign * (arc_sum(end, sides) - pi) > 0.0:
         end = max(d + sign * step, floor)
         step *= 2.0
     return end
@@ -175,30 +176,33 @@ def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
         raise DomainError(_SIDES_NOT_FINITE)
     m = max(sides)
     ratios = [a / m for a in sides]
-    ratio_sum = math.fsum(ratios)
+    ratio_sum = fsum(ratios)
     if ratio_sum != ratio_sum:  # inf / inf, or a nan side that min passed over
         raise DomainError(_SIDES_NOT_FINITE)
 
     def g(t: float) -> float:
         total = 0.0
         for c in ratios:
-            total += math.asin(c * t)
-        return 2.0 * total - math.pi
+            total += asin(c * t)
+        return 2.0 * total - pi
 
     def g_slope(t: float) -> float:
+        # c <= 1 and t <= t0 <= 1, so c*t never exceeds 1 and the product
+        # below is never negative.  It is 0 only where c*t == 1 exactly: a
+        # side equal to d, whose infinite slope ends the descent.
         slope = 0.0
-        for c in ratios:
-            x = c * t
-            gap = (1.0 - x) * (1.0 + x)
-            slope += c / math.sqrt(gap) if gap > 0.0 else math.inf
+        try:
+            for c in ratios:
+                x = c * t
+                slope += c / sqrt((1.0 - x) * (1.0 + x))
+        except ZeroDivisionError:
+            return inf
         return 2.0 * slope
 
-    t0 = min(
-        1.0 / math.sqrt(math.fsum([c * c for c in ratios])), 0.5 * math.pi / ratio_sum
-    )
+    t0 = min(1.0 / sqrt(fsum(map(mul, ratios, ratios))), 0.5 * pi / ratio_sum)
     t, residual, steps = _newton_descent(g, g_slope, t0, 1.0 / ratio_sum)
     d = m / t
-    if not math.isfinite(d):
+    if not isfinite(d):
         raise DomainError(f"sides {sides!r} have no finite diameter")
     return sides, d, residual, steps
 
@@ -239,12 +243,12 @@ def _arcs(sides: tuple[float, ...], d: float) -> list[float]:
     """:func:`arcs_from_sides` on a float tuple and a checked d."""
     # A valid side has 0 < a <= d but for clamp noise; _ratio checks the rest.
     arcs = [
-        2.0 * math.asin(a / d if 0.0 < a <= d else _ratio(a, d)) for a in sides
+        2.0 * asin(a / d if 0.0 < a <= d else _ratio(a, d)) for a in sides
     ]
     widest = sides.index(max(sides))
     # fsum is correctly rounded, so the zeroed entry leaves the sum exact.
     arcs[widest] = 0.0
-    arcs[widest] = math.pi - math.fsum(arcs)
+    arcs[widest] = pi - fsum(arcs)
     return arcs
 
 

@@ -242,16 +242,36 @@ class TestFormatting:
         assert "payload.d = 5" in out
 
 
+def _closed_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
 class TestClosedStdout:
-    def test_reader_gone_exits_1_without_a_traceback(self):
-        child = subprocess.Popen(
-            [sys.executable, "-m", "semichord.cli", "construct", "3,4,5"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
-        # Closed before the child can print, so its write meets no reader.
-        child.stdout.close()
-        _, stderr = child.communicate(timeout=60)
-        assert stderr == b""
+    @pytest.mark.parametrize(
+        "argv", [["construct", "3,4,5"], ["solve", "1,x"]], ids=["ok", "error"]
+    )
+    def test_reader_gone_exits_1_without_a_traceback(self, argv):
+        # An ok document and an error document meet the same closed pipe.
+        write_end = _closed_pipe()
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "semichord.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert child.stderr == b""
         assert child.returncode == 1
+
+    def test_reader_gone_in_process_points_stdout_at_devnull(self, monkeypatch):
+        with os.fdopen(_closed_pipe(), "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(["construct", "3,4,5"]) == 1
+            # The descriptor now writes to devnull, so a second flush succeeds.
+            print("more", file=stream, flush=True)

@@ -1,6 +1,8 @@
 """Tests for diameter recovery from side lengths."""
 
 import math
+import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -480,3 +482,119 @@ class TestInscribeSkipsTheCertificate:
         assert calls == []
         solve_diameter(sides)
         assert len(calls) >= 1
+
+
+def _reference_passes(sides):
+    """``_solve``'s value pass, slope pass, t0 and floor, written out.
+
+    The loops call ``math.`` functions, the slope branches on ``gap`` and
+    Σc² is summed over a list; the solver must match them bit for bit.
+    """
+    m = max(sides)
+    ratios = [a / m for a in sides]
+    ratio_sum = math.fsum(ratios)
+
+    def g(t):
+        total = 0.0
+        for c in ratios:
+            total += math.asin(c * t)
+        return 2.0 * total - math.pi
+
+    def g_slope(t):
+        slope = 0.0
+        for c in ratios:
+            x = c * t
+            gap = (1.0 - x) * (1.0 + x)
+            slope += c / math.sqrt(gap) if gap > 0.0 else math.inf
+        return 2.0 * slope
+
+    t0 = min(
+        1.0 / math.sqrt(math.fsum([c * c for c in ratios])), 0.5 * math.pi / ratio_sum
+    )
+    return g, g_slope, t0, 1.0 / ratio_sum
+
+
+def _reference_solve(sides):
+    sides = tuple(map(float, sides))
+    t, residual, steps = _newton_descent(*_reference_passes(sides))
+    return sides, max(sides) / t, residual, steps
+
+
+def _reference_arc_sum(d, sides):
+    total = 0.0
+    for a in sides:
+        total += math.asin(a / d if a <= d else _ratio(a, d))
+    return 2.0 * total
+
+
+def _reference_vertices(sides):
+    """inscribe_from_sides' vertices, placed with ``math.cos``/``math.sin``."""
+    sides, d, _, _ = _reference_solve(sides)
+    arcs = [2.0 * math.asin(a / d if a <= d else _ratio(a, d)) for a in sides]
+    widest = sides.index(max(sides))
+    arcs[widest] = 0.0
+    arcs[widest] = math.pi - math.fsum(arcs)
+    R = 0.5 * d
+    pts = [(-R, 0.0)]
+    theta = math.pi
+    for arc in arcs[:-1]:
+        theta -= arc
+        pts.append((R * math.cos(theta), R * math.sin(theta)))
+    pts.append((R, 0.0))
+    return arcs, pts
+
+
+def _bits(*values):
+    """The floats' bytes, so -0.0 and 0.0 differ and nan equals itself."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class TestLoopsMatchTheirReference:
+    """The solver's per-side loops give the written-out form's floats."""
+
+    @staticmethod
+    def _check(sides):
+        passes = []
+
+        def descent(value, slope, x, floor):
+            passes.append((value, slope, x, floor))
+            return _newton_descent(value, slope, x, floor)
+
+        with mock.patch.object(solver, "_newton_descent", descent):
+            got_sides, d, residual, steps = solver._solve(sides)
+        ref_sides, ref_d, ref_residual, ref_steps = _reference_solve(sides)
+        assert _bits(*got_sides, d, residual) == _bits(*ref_sides, ref_d, ref_residual)
+        assert steps == ref_steps
+        # Each pass on its own, at the start, the root and between them.
+        (value, slope, t0, floor), = passes
+        ref_value, ref_slope, ref_t0, ref_floor = _reference_passes(ref_sides)
+        assert _bits(t0, floor) == _bits(ref_t0, ref_floor)
+        root = max(sides) / d
+        for t in (t0, root, 0.5 * (t0 + root)):
+            assert _bits(value(t), slope(t)) == _bits(ref_value(t), ref_slope(t))
+        ref_arcs, ref_pts = _reference_vertices(sides)
+        assert _bits(*arcs_from_sides(sides, d)) == _bits(*ref_arcs)
+        for at in (d, max(sides)):
+            assert _bits(arc_sum(at, sides)) == _bits(_reference_arc_sum(at, sides))
+        vertices = inscribe_from_sides(sides).vertices
+        assert _bits(*(v for p in vertices for v in p)) == _bits(
+            *(v for p in ref_pts for v in p)
+        )
+
+    @given(sides=semicircle_sides())
+    @settings(max_examples=300, deadline=None)
+    def test_semicircle_chords(self, sides):
+        self._check(sides)
+
+    def test_thales_triangle(self):
+        assert solver._solve([3.0, 4.0])[1:] == (5.0, 0.0, 1)
+        self._check([3.0, 4.0])
+
+    def test_vertical_tangent_ends_the_descent(self):
+        # t0 is 1, where c*t == 1 for the long side: the slope there is
+        # infinite, so the descent stops at once, its residual the short
+        # side's excess of 2e-9.
+        _, d, residual, steps = solver._solve([1.0, 1e-9])
+        assert (d, steps) == (1.0, 0)
+        assert residual == pytest.approx(2e-9, rel=1e-6)
+        self._check([1.0, 1e-9])
