@@ -16,8 +16,9 @@ evaluators stay independent of the diameter solver.
 
 Each relation of the proof has one home: ``_quadrilateral`` is the
 4-vertex relation on every nested quadrilateral (``rhs_quadrilateral``
-checks its inputs, then calls it), and ``_corner_residual`` forms the
-law-of-cosines step at the last corner.
+checks its inputs, then calls it), and ``_check_residuals`` forms the
+law-of-cosines step at the last corner, which
+``corner_identity_residual`` reads from it.
 """
 
 from __future__ import annotations
@@ -248,28 +249,12 @@ def corner_identity_residual(poly: InscribedPolygon) -> float:
     For the last three vertices P, Q, E (E the right diameter endpoint),
     Thales' theorem turns the cosine at Q into a ratio of chords from
     the first vertex:  |PE|^2 = |PQ|^2 + |QE|^2 + 2|PQ||QE|·|A1P|/|A1E|.
-    Needs at least 4 vertices; equal to the last residual of
-    ``_check_residuals``, but runs none of the nested checks.
+    Needs at least 4 vertices; this is the last residual of
+    ``_check_residuals``, which forms the relation.
     """
     if poly.n < 4:
         raise IndexRangeError("corner identity needs at least 4 vertices")
-    sides, d, _, _, chords = _general_identity(poly)
-    return _corner_residual(poly, sides, d, chords[-1][0])
-
-
-def _corner_residual(
-    poly: InscribedPolygon, sides: list[float], d: float, a1p: float
-) -> float:
-    """The last-corner relation's relative residual, given |A1P| and d.
-
-    ``sides`` and ``a1p`` come from ``_general_identity``; |PE| is
-    measured here from the vertices.
-    """
-    pe = math.dist(poly.vertices[-3], poly.vertices[-1])
-    pq, qe = sides[-2], sides[-1]
-    pe_sq = pe * pe
-    corner_rhs = pq * pq + qe * qe + 2.0 * pq * qe * a1p / d
-    return abs(pe_sq - corner_rhs) / pe_sq if pe_sq else 0.0
+    return _check_residuals(poly)[1][-1]
 
 
 def _check_residuals(poly: InscribedPolygon) -> tuple[list[float], list[float]]:
@@ -277,9 +262,10 @@ def _check_residuals(poly: InscribedPolygon) -> tuple[list[float], list[float]]:
 
     In order: the general identity, nested quadrilateral k = 1..n-3 and,
     for n >= 4, the corner, as ``_check_name`` names them.  Each nested
-    right side is ``_quadrilateral``'s, the corner's ``_corner_residual``'s;
-    the kernel measured their chords from a validated polygon with d in
-    the window, so no length is checked again.
+    right side is ``_quadrilateral``'s.  The corner's |A1P| is the last
+    cross term's first chord and |PE| is measured here from the vertices.
+    The kernel measured the chords from a validated polygon with d in the
+    window, so no length is checked again.
     """
     sides, d, _, rhs, chords = _general_identity(poly)
     lhs = d * d
@@ -287,7 +273,11 @@ def _check_residuals(poly: InscribedPolygon) -> tuple[list[float], list[float]]:
     for first, side, second, _ in chords:
         residuals.append(abs(lhs - _quadrilateral(first, side, second, d)) / lhs)
     if chords:
-        residuals.append(_corner_residual(poly, sides, d, chords[-1][0]))
+        pe = math.dist(poly.vertices[-3], poly.vertices[-1])
+        pq, qe = sides[-2], sides[-1]
+        pe_sq = pe * pe
+        corner_rhs = pq * pq + qe * qe + 2.0 * pq * qe * chords[-1][0] / d
+        residuals.append(abs(pe_sq - corner_rhs) / pe_sq if pe_sq else 0.0)
     return sides, residuals
 
 

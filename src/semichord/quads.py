@@ -30,7 +30,7 @@ from .geometry import (
 )
 from .geometry import diagonal  # noqa: F401  (rebound here by bench/spans.py)
 from .identity import rhs_quadrilateral
-from .solver import _SIDES_NOT_FINITE, _newton_descent, arcs_from_sides
+from .solver import _newton_descent, _scaled, arcs_from_sides
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,11 +69,8 @@ def diameter_cubic(a: float, b: float, c: float) -> float:
     not positive and finite, and when d is not a finite float, as when
     it overflows.
     """
-    a, b, c = _floats((a, b, c))
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < c < math.inf):
-        raise DomainError(_SIDES_NOT_FINITE)
-    m = max(a, b, c)
-    ca, cb, cc = a / m, b / m, c / m
+    sides = _floats((a, b, c))
+    m, (ca, cb, cc), _ = _scaled(sides)
     s = ca * ca + cb * cb + cc * cc
     p = 2.0 * ca * cb * cc
 
@@ -83,7 +80,7 @@ def diameter_cubic(a: float, b: float, c: float) -> float:
     )
     d = m * u
     if not math.isfinite(d):
-        raise DomainError(f"sides {(a, b, c)!r} have no finite diameter")
+        raise DomainError(f"sides {sides!r} have no finite diameter")
     return d
 
 

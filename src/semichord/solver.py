@@ -162,6 +162,21 @@ def _bracket_end(sides: tuple[float, ...], d: float, sign: float) -> float:
     return end
 
 
+def _scaled(sides: tuple[float, ...]) -> tuple[float, list[float], float]:
+    """The largest side m, the ratios a/m and their sum, for both root finders.
+
+    Raises :class:`DomainError` unless every side is positive and finite.
+    """
+    if not 0.0 < min(sides):
+        raise DomainError(_SIDES_NOT_FINITE)
+    m = max(sides)
+    ratios = [a / m for a in sides]
+    ratio_sum = fsum(ratios)
+    if ratio_sum != ratio_sum:  # inf / inf, or a nan side that min passed over
+        raise DomainError(_SIDES_NOT_FINITE)
+    return m, ratios, ratio_sum
+
+
 def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
     """Diameter of the sides by monotone Newton, without a certificate.
 
@@ -172,13 +187,7 @@ def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
     sides = _floats(sides)
     if len(sides) < 2:
         raise DomainError("need at least 2 sides to form a polygon on the semicircle")
-    if not 0.0 < min(sides):
-        raise DomainError(_SIDES_NOT_FINITE)
-    m = max(sides)
-    ratios = [a / m for a in sides]
-    ratio_sum = fsum(ratios)
-    if ratio_sum != ratio_sum:  # inf / inf, or a nan side that min passed over
-        raise DomainError(_SIDES_NOT_FINITE)
+    m, ratios, ratio_sum = _scaled(sides)
 
     def g(t: float) -> float:
         total = 0.0

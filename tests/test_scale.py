@@ -106,11 +106,17 @@ def test_subnormal_radius_is_a_domain_error():
         closing_side(1e-310, 1e-310, 3e-310)
 
 
+# Each root finder checks its own d; a later check, such as arc_sum's on
+# the diameter, would raise a different message.
 def test_overflowing_diameter_is_a_domain_error():
-    with pytest.raises(DomainError):
-        solve_diameter([1.7e308, 1.7e308])
-    with pytest.raises(DomainError):
-        diameter_cubic(1e308, 1e308, 1e308)
+    for solve, sides in [
+        (solve_diameter, [1.7e308, 1.7e308]),
+        (inscribe_from_sides, [1.7e308, 1.7e308]),
+        (lambda sides: diameter_cubic(*sides), [1e308, 1e308, 1e308]),
+    ]:
+        with pytest.raises(DomainError) as info:
+            solve(sides)
+        assert str(info.value) == f"sides {tuple(sides)!r} have no finite diameter"
 
 
 @given(

@@ -145,6 +145,14 @@ class TestSolveDiameter:
             arc_sum_residual=float.fromhex(residual),
         )
 
+    # Unclamped, the downward steps from just above the largest side 1.0
+    # overshoot it: from 3 ulps above to one ulp below 1.0, and from 10
+    # ulps above to a d that the side exceeds.
+    @pytest.mark.parametrize("ulps", [3, 10])
+    def test_low_end_stops_at_the_largest_side(self, ulps):
+        d = 1.0 + ulps * math.ulp(1.0)
+        assert _bracket_end((1.0, 1e-300), d, -1.0) == 1.0
+
     def test_rejects_single_side(self):
         with pytest.raises(DomainError):
             solve_diameter([3.0])
