@@ -3,8 +3,9 @@
 Each class carries a short machine-readable ``code`` so the CLI can map
 failures to structured error payloads without string matching.  Range
 guards are one negated comparison with both bounds, such as
-``not 0.0 < x < math.inf``, so that nan and inf fail them; their
-messages name no value, so CLI output never carries a ``nan`` or ``inf``.
+``not 0.0 < x < math.inf``, so that nan and inf fail them.  A message
+names a value only once it is known to be finite, so CLI output never
+carries a ``nan`` or ``inf``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ relation on each nested quadrilateral (1, k+1, k+2, n); the last-corner
 law-of-cosines step; and the diameter-solver round trip.  The first
 three come from ``identity._check_residuals``, which chooses each
 check's chords from one kernel pass over the trial's polygon; the
-solver runs on the sides it returns, and the round trip takes
+solver runs on the positive sides it returns, and the round trip takes
 :func:`~semichord.solver.solve_diameter`'s d without its certified
 bracket, which no check reads.  This module only draws, solves and
 tallies.  The stress regime covers one extreme only: with a fixed
@@ -212,9 +212,16 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
         poly = vertices_from_angles(angles, radius)
 
         sides, residuals = _check_residuals(poly)
-        d = _solve(sides)[1]
+        # An arc below a vertex's angular resolution puts two vertices on
+        # one float point.  Their zero side subtends a zero arc, so the
+        # positive sides have the same diameter; with fewer than two left
+        # there is none to recover, and the round trip fails.
+        if 0.0 in sides:
+            sides = [a for a in sides if a > 0.0]
         target_d = 2.0 * radius
-        residuals.append(abs(d - target_d) / target_d)
+        residuals.append(
+            abs(_solve(sides)[1] - target_d) / target_d if len(sides) > 1 else math.inf
+        )
 
         for index, residual in enumerate(residuals):
             if 0.0 < residual < math.inf:

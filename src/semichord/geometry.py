@@ -18,6 +18,11 @@ A polygon placed from arcs is validated once, where it enters:
 then checks only the radius and the lowest vertex, falling back to the
 full per-vertex validator for a vertex below the diameter.  An
 ``InscribedPolygon`` built directly checks every vertex.
+``solver.inscribe_from_sides`` checks its partition where it builds it
+and passes it on through ``_checked_angles``: its sides are positive
+and finite and its solved d is at least the largest side, so every arc
+but the complement is finite and non-negative by construction, and it
+checks the complement's sign, the half-turn sum and two positive arcs.
 """
 
 from __future__ import annotations
@@ -128,6 +133,18 @@ class CentralAngles:
         return CentralAngles(self.arcs[::-1])
 
 
+def _checked_angles(arcs: list[float]) -> CentralAngles:
+    """``CentralAngles`` of float arcs the caller has already checked.
+
+    Skips ``__post_init__``; the caller guarantees every rule it checks.
+    It lives here so that it reaches the class even where a caller's own
+    imported ``CentralAngles`` name is rebound, say to a tracing wrapper.
+    """
+    angles = object.__new__(CentralAngles)
+    object.__setattr__(angles, "arcs", tuple(arcs))
+    return angles
+
+
 @dataclass(frozen=True, slots=True)
 class InscribedPolygon:
     """Vertices on the upper semicircle, diameter endpoints first and last."""
@@ -185,8 +202,8 @@ class ChordSet:
     def __post_init__(self) -> None:
         sides = _floats(self.sides)
         object.__setattr__(self, "sides", sides)
-        if not all(s >= 0.0 for s in sides):
-            raise DomainError("sides must be non-negative")
+        if not all(0.0 <= s < math.inf for s in sides):
+            raise DomainError("sides must be non-negative and finite")
         diameter = _diameter(self.diameter)
         object.__setattr__(self, "diameter", diameter)
         if sides and diameter < max(sides):

@@ -40,8 +40,10 @@ from operator import mul
 
 from .errors import ConvergenceError, DomainError
 from .geometry import (
+    ARC_SUM_TOL,
     CentralAngles,
     InscribedPolygon,
+    _checked_angles,
     _diameter,
     _floats,
     _radius,
@@ -261,15 +263,44 @@ def _arcs(sides: tuple[float, ...], d: float) -> list[float]:
     return arcs
 
 
+def _partition(sides: tuple[float, ...], d: float) -> CentralAngles:
+    """``CentralAngles(_arcs(sides, d))`` for the positive finite sides ``_solve`` read.
+
+    ``_solve`` returns d = m / t with m = max(sides) and t <= t0 <= 1, so
+    m <= d holds exactly; checked here, it lets every ratio skip
+    ``_ratio`` and makes every arc but the complement finite and
+    non-negative.  Of ``CentralAngles``' rules that leaves the
+    complement's sign, the half-turn sum and two positive arcs, which
+    are checked on the built list.  Any other case goes the checked way,
+    so floats and errors are those of ``CentralAngles(_arcs(sides, d))``.
+    """
+    m = max(sides)
+    if m <= d:
+        arcs = [2.0 * asin(a / d) for a in sides]
+        widest = sides.index(m)
+        arcs[widest] = 0.0
+        arcs[widest] = pi - fsum(arcs)
+        if (
+            0.0 <= arcs[widest]
+            and abs(fsum(arcs) - pi) <= ARC_SUM_TOL
+            # A ratio a / d that underflows gives a zero arc.
+            and len(arcs) - arcs.count(0.0) >= 2
+        ):
+            return _checked_angles(arcs)
+    return CentralAngles(_arcs(sides, d))
+
+
 def inscribe_from_sides(sides) -> InscribedPolygon:
     """Solve the diameter, then realize the polygon on its semicircle.
 
     Only :func:`solve_diameter` returns the certified bracket; this
-    takes the same d without building it.
+    takes the same d without building it.  The arc partition is checked
+    where it is built, by ``_partition``: the solved d is at least the
+    largest side, so only the complement arc's sign, the half-turn sum
+    and the two-positive-arcs rule are left to check.
     """
     # _solve returns the sides as a tuple, so a one-shot iterable is read once.
     sides, d, _, _ = _solve(sides)
     # A subnormal d/2 is a domain error, checked before the arcs it can degenerate.
     radius = _radius(0.5 * d)
-    arcs = _arcs(sides, d)
-    return vertices_from_angles(CentralAngles(arcs), radius)
+    return vertices_from_angles(_partition(sides, d), radius)

@@ -274,6 +274,44 @@ class TestHistogram:
         assert list(report.histogram.items()) == ordered
 
 
+class TestCoincidentVertices:
+    """An arc below a vertex's angular resolution puts two vertices on one
+    float point; the run reports the round trip instead of raising."""
+
+    @staticmethod
+    def _round_trips(monkeypatch, **config):
+        """Each zero-sided trial's sides and its listed round-trip residual."""
+        monkeypatch.setattr(fuzz, "_STRESS_ARC", 1e-30)
+        placed = _capture_polygons(monkeypatch)
+        report = run_fuzz(FuzzConfig(trials=30, tolerance_rel=5e-324, **config))
+        listed = {
+            int(failure.description.split()[0].removeprefix("trial=")): failure.residual
+            for failure in report.failures
+            if " check=solver round trip " in failure.description
+        }
+        trips = [
+            (poly, side_lengths(poly), listed.get(trial, 0.0))
+            for trial, poly in enumerate(placed)
+        ]
+        zero_sided = [trip for trip in trips if 0.0 in trip[1]]
+        assert zero_sided, "no trial put two vertices on one point"
+        return zero_sided
+
+    def test_round_trip_solves_the_positive_sides(self, monkeypatch):
+        for poly, sides, residual in self._round_trips(monkeypatch, seed=3):
+            assert poly.n > 3
+            target = 2.0 * poly.radius
+            solved = solve_diameter([a for a in sides if a > 0.0]).d
+            assert residual == abs(solved - target) / target
+            assert residual <= 1e-12
+
+    def test_triangle_with_one_positive_side_fails_the_round_trip(self, monkeypatch):
+        trips = self._round_trips(monkeypatch, seed=0, n_min=3, n_max=3)
+        for _, sides, residual in trips:
+            assert len(sides) == 2 and sides.count(0.0) == 1
+            assert residual == math.inf
+
+
 class TestNonFiniteResidual:
     """A nan or inf from any check is a failure, never a crash or a zero."""
 

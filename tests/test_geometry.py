@@ -281,6 +281,13 @@ class TestChordSet:
         with pytest.raises(DomainError):
             ChordSet((-1.0, 2.0), 2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_side_range_has_one_message(self, bad):
+        for sides in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(DomainError) as info:
+                ChordSet(sides, 2.0)
+            assert str(info.value) == "sides must be non-negative and finite"
+
     def test_rejects_bad_diameter(self):
         with pytest.raises(DomainError):
             ChordSet((1.0,), 0.0)

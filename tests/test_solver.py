@@ -13,6 +13,8 @@ from semichord import (
     ConvergenceError,
     DiameterSolution,
     DomainError,
+    InvalidAnglesError,
+    SemichordError,
     arc_sum,
     arcs_from_sides,
     diagonal,
@@ -606,3 +608,74 @@ class TestLoopsMatchTheirReference:
         assert (d, steps) == (1.0, 0)
         assert residual == pytest.approx(2e-9, rel=1e-6)
         self._check([1.0, 1e-9])
+
+
+def _outcome(build, *args):
+    """The arcs ``build`` gives, or the class and message it raises."""
+    try:
+        return build(*args).arcs
+    except SemichordError as error:
+        return type(error), str(error)
+
+
+def _checked_partition(sides, d):
+    return CentralAngles(solver._arcs(sides, d))
+
+
+class TestPartitionPremise:
+    """inscribe_from_sides checks its arc partition where it builds it.
+
+    ``_partition`` relies on the solved d being at least the largest side
+    and falls back to ``CentralAngles(_arcs(sides, d))`` otherwise; either
+    way it gives that call's arcs, or its exception class and message.
+    """
+
+    @given(sides=semicircle_sides())
+    @settings(max_examples=300, deadline=None)
+    def test_solved_diameter_is_at_least_the_largest_side(self, sides):
+        sides, d, _, _ = solver._solve(sides)
+        assert d >= max(sides)
+
+    @staticmethod
+    def _check(sides, d):
+        got = _outcome(solver._partition, sides, d)
+        assert got == _outcome(_checked_partition, sides, d)
+        return got
+
+    @given(sides=semicircle_sides())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_checked_partition(self, sides):
+        sides, d, _, _ = solver._solve(sides)
+        self._check(sides, d)
+        for exponent in range(-15, -8):
+            for sign in (1.0, -1.0):
+                self._check(sides, d * (1.0 + sign * 10.0**exponent))
+        self._check(sides, max(sides) * (1.0 - 1e-9))
+
+    @pytest.mark.parametrize("sides", [(5e-324, 4.0), (4.0, 5e-324)])
+    def test_underflowed_arc_keeps_the_zero_arc_rule(self, sides):
+        d = solver._solve(sides)[1]
+        assert self._check(sides, d) == (
+            InvalidAnglesError,
+            "at least two arcs must be strictly positive",
+        )
+        with pytest.raises(InvalidAnglesError) as info:
+            inscribe_from_sides(list(sides))
+        assert info.value.code == "invalid_angles"
+
+    @pytest.mark.parametrize(
+        "sides, d, error",
+        [
+            ((1.0, 2.0), 1.5, (DomainError, "side 2.0 exceeds diameter 1.5")),
+            # Every side equals d: the others' arcs pass the half turn.
+            ((1.0, 1.0, 1.0), 1.0, (InvalidAnglesError, "arcs must be non-negative")),
+        ],
+    )
+    def test_off_root_diameter_keeps_its_error(self, sides, d, error):
+        assert self._check(sides, d) == error
+
+    def test_built_without_revalidation_but_equal(self):
+        sides, d, _, _ = solver._solve([3.0, 4.0, 5.0, 6.0])
+        angles = solver._partition(sides, d)
+        assert type(angles) is CentralAngles
+        assert angles == _checked_partition(sides, d)
