@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields, is_dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from math import isfinite, radians
+from math import dist, isfinite, radians
 from typing import Any, Callable, Sequence
 
 from .errors import DomainError, ParseError, SemichordError, WriteError
@@ -53,11 +53,38 @@ def _polygon_from_args(values: str, radius: float | None) -> InscribedPolygon:
     return inscribe_from_sides(numbers)
 
 
+@cache
+def _field_names(kind: type) -> tuple[str, ...] | None:
+    """The field names of dataclass ``kind`` in field order; None for other types."""
+    return tuple(f.name for f in fields(kind)) if is_dataclass(kind) else None
+
+
+def _record(value: Any) -> Any:
+    """``dataclasses.asdict(value)``, without its deep copy of every leaf.
+
+    A dataclass becomes a dict of its fields in field order, and tuples,
+    lists and dicts are rebuilt around their read items.  Any other value
+    is returned as it is: records hold floats, ints, bools and strs,
+    which ``asdict``'s copy returns unchanged.
+    """
+    kind = type(value)
+    if kind is float or kind is int:
+        return value
+    if kind is tuple or kind is list:
+        return kind([_record(v) for v in value])
+    if kind is dict:
+        return {_record(k): _record(v) for k, v in value.items()}
+    names = _field_names(kind)
+    if names is None:
+        return value
+    return {name: _record(getattr(value, name)) for name in names}
+
+
 def _cmd_verify(args: argparse.Namespace) -> _Result:
     poly = _polygon_from_args(args.values, args.radius)
     report = evaluate_general(poly)
     return (
-        {"diameter": diagonal(poly, 0, poly.n - 1), "identity": asdict(report)},
+        {"diameter": diagonal(poly, 0, poly.n - 1), "identity": _record(report)},
         f"n={report.n} lhs={report.lhs:.15g} rhs={report.rhs:.15g} "
         f"residual_rel={report.residual_rel:.3e}",
     )
@@ -66,7 +93,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
 def _cmd_solve(args: argparse.Namespace) -> _Result:
     solution = solve_diameter(_parse_values(args.values))
     return (
-        asdict(solution),
+        _record(solution),
         f"d={solution.d:.15g} after {solution.iterations} iterations "
         f"(arc-sum residual {solution.arc_sum_residual:.3e})",
     )
@@ -78,29 +105,26 @@ def _cmd_construct(args: argparse.Namespace) -> _Result:
         raise ParseError(f"construct needs exactly 3 sides, got {len(values)}")
     arrangements = enumerate_incongruent_quads(*values)
     d = arrangements[0].d
-    payload = {
-        "d": d,
-        "count": len(arrangements),
-        "arrangements": [
+    placed = []
+    for arr in arrangements:
+        v = arr.polygon.vertices
+        placed.append(
             {
                 "ordered_sides": arr.ordered_sides,
                 "middle_side": arr.middle_side,
-                "diagonals": {
-                    "first": diagonal(arr.polygon, 0, 2),
-                    "second": diagonal(arr.polygon, 1, 3),
-                },
-                "vertices": arr.polygon.vertices,
+                # What diagonal(arr.polygon, i, j) returns, less its index checks.
+                "diagonals": {"first": dist(v[0], v[2]), "second": dist(v[1], v[3])},
+                "vertices": v,
             }
-            for arr in arrangements
-        ],
-    }
+        )
+    payload = {"d": d, "count": len(arrangements), "arrangements": placed}
     return payload, f"{len(arrangements)} arrangement(s) sharing diameter {d:.15g}"
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> _Result:
     report = counterexample_report()
     return (
-        asdict(report),
+        _record(report),
         f"relation_holds={report.relation_holds} "
         f"off_circle_distance={report.off_circle_distance:.6g} "
         f"inscribable_variant_d={report.inscribable_variant_d:.15g}",
@@ -111,7 +135,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> _Result:
     config = FuzzConfig(**{f.name: getattr(args, f.name) for f in fields(FuzzConfig)})
     report = run_fuzz(config)
     return (
-        asdict(report),
+        _record(report),
         f"{report.trials_run} trials, worst residual {report.worst_residual_rel:.3e}, "
         f"{len(report.failures)} failure(s)",
     )
@@ -140,8 +164,9 @@ def _format_float(value: float) -> str:
 def _to_json(value: Any) -> str:
     """Indented JSON in one walk that appends to a single list.
 
-    Dispatches on exact type: payloads are plain ``dataclasses.asdict``
-    trees, and any type not listed is written as its quoted ``str``.
+    Dispatches on exact type: payloads are trees of dicts, lists, tuples
+    and leaves, records read by ``_record``, and any type not listed is
+    written as its quoted ``str``.
     """
     parts: list[str] = []
     emit = parts.append
@@ -152,19 +177,19 @@ def _to_json(value: Any) -> str:
             emit(_format_float(value))
         elif kind is dict:
             inner = newline + "  "
-            sep = "{" + inner
+            sep, comma = "{" + inner, "," + inner
             for k, v in value.items():
                 emit(sep + encode_basestring_ascii(str(k)) + ": ")
                 walk(v, inner)
-                sep = "," + inner
+                sep = comma
             emit(newline + "}" if value else "{}")
         elif kind is list or kind is tuple:
             inner = newline + "  "
-            sep = "[" + inner
+            sep, comma = "[" + inner, "," + inner
             for v in value:
                 emit(sep)
                 walk(v, inner)
-                sep = "," + inner
+                sep = comma
             emit(newline + "]" if value else "[]")
         elif kind is bool:
             emit("true" if value else "false")

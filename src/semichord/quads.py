@@ -21,16 +21,17 @@ from itertools import permutations
 from .errors import DomainError, PlacementError
 from .geometry import (
     ARC_SUM_TOL,
-    CentralAngles,
     InscribedPolygon,
     _diameter,
     _floats,
     chord_from_angle,
     vertices_from_angles,
 )
+from .geometry import CentralAngles  # noqa: F401  (rebound here by bench/spans.py)
 from .geometry import diagonal  # noqa: F401  (rebound here by bench/spans.py)
 from .identity import rhs_quadrilateral
-from .solver import _newton_descent, _scaled, arcs_from_sides
+from .solver import _newton_descent, _partition, _scaled
+from .solver import arcs_from_sides  # noqa: F401  (rebound here by bench/spans.py)
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +120,11 @@ def enumerate_incongruent_quads(a: float, b: float, c: float) -> list[QuadArrang
     is the identity or the mirror that reverses the short sides.  The
     incongruent arrangements are therefore exactly the orderings up to
     reversal, each kept as the lesser of itself and its reverse, and
-    their count is the number of distinct sides: 3, 2 or 1.
+    their count is the number of distinct sides: 3, 2 or 1.  Each
+    arrangement's arc partition is checked where it is built, by
+    ``solver._partition``: the cubic's d is at least the largest side, so
+    only the complement arc's sign, the half-turn sum and the
+    two-positive-arcs rule are left to check.
     """
     d = diameter_cubic(a, b, c)
     radius = 0.5 * d
@@ -127,7 +132,7 @@ def enumerate_incongruent_quads(a: float, b: float, c: float) -> list[QuadArrang
     for order in sorted(set(permutations(_floats((a, b, c))))):
         if order > order[::-1]:
             continue
-        poly = vertices_from_angles(CentralAngles(arcs_from_sides(order, d)), radius)
+        poly = vertices_from_angles(_partition(order, d), radius)
         arrangements.append(
             QuadArrangement(
                 ordered_sides=order, d=d, polygon=poly, middle_side=order[1]

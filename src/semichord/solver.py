@@ -264,15 +264,22 @@ def _arcs(sides: tuple[float, ...], d: float) -> list[float]:
 
 
 def _partition(sides: tuple[float, ...], d: float) -> CentralAngles:
-    """``CentralAngles(_arcs(sides, d))`` for the positive finite sides ``_solve`` read.
+    """``CentralAngles(_arcs(sides, d))`` for positive finite sides and their d.
 
-    ``_solve`` returns d = m / t with m = max(sides) and t <= t0 <= 1, so
-    m <= d holds exactly; checked here, it lets every ratio skip
-    ``_ratio`` and makes every arc but the complement finite and
-    non-negative.  Of ``CentralAngles``' rules that leaves the
-    complement's sign, the half-turn sum and two positive arcs, which
-    are checked on the built list.  Any other case goes the checked way,
-    so floats and errors are those of ``CentralAngles(_arcs(sides, d))``.
+    Both callers pass sides a root finder has read through ``_scaled``
+    and the diameter it solved, which is at least m = max(sides):
+    - :func:`inscribe_from_sides` takes d = m / t from ``_solve``, whose
+      Newton descent keeps t <= t0 <= 1, so m <= d holds exactly;
+    - :func:`~semichord.quads.enumerate_incongruent_quads` takes
+      d = m * u from :func:`~semichord.quads.diameter_cubic`, whose root
+      u* >= sqrt(s) >= 1 is approached from u0 >= sqrt(s) >= 1 (s, the
+      sum of squared ratios, holds (m / m)^2 = 1).
+    Checked here as m <= d, the premise lets every ratio skip ``_ratio``
+    and makes every arc but the complement finite and non-negative.  Of
+    ``CentralAngles``' rules that leaves the complement's sign, the
+    half-turn sum and two positive arcs, which are checked on the built
+    list.  Any other case goes the checked way, so floats and errors are
+    those of ``CentralAngles(_arcs(sides, d))``.
     """
     m = max(sides)
     if m <= d:

@@ -10,8 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from semichord import FuzzConfig, cli, run_fuzz
-from semichord.cli import _to_json, main
+from semichord import (
+    CentralAngles,
+    CounterexampleReport,
+    FuzzConfig,
+    cli,
+    counterexample_report,
+    evaluate_general,
+    run_fuzz,
+    solve_diameter,
+    vertices_from_angles,
+)
+from semichord.cli import _record, _to_json, main
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,6 +49,46 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+class TestRecordReader:
+    """``cli._record`` gives ``dataclasses.asdict``'s tree without its copies.
+
+    Compared by ``repr``, which also tells key order, tuple from list,
+    -0.0 from 0.0 and nan from any number apart.
+    """
+
+    @staticmethod
+    def _check(record):
+        assert repr(_record(record)) == repr(asdict(record))
+
+    def test_identity_reports(self):
+        for n in range(3, 65):
+            angles = CentralAngles([math.pi / (n - 1)] * (n - 1))
+            report = evaluate_general(vertices_from_angles(angles, 1.5))
+            assert len(report.cross_terms) == n - 3
+            self._check(report)
+
+    def test_diameter_solution(self):
+        self._check(solve_diameter([3.0, 4.0, 5.0, 6.0]))
+
+    @pytest.mark.parametrize(
+        "residual",
+        [
+            math.nan,
+            {"d": math.nan},
+            {"d": 1.0, "nested": {"values": [2.0, math.inf]}},
+            {"pairs": [(1.0, -math.inf)]},
+        ],
+    )
+    def test_counterexample_reports(self, residual):
+        self._check(counterexample_report())
+        self._check(CounterexampleReport(True, residual, -0.0, 1.0))
+
+    def test_fuzz_report_with_failures(self):
+        report = run_fuzz(FuzzConfig(trials=20, tolerance_rel=1e-17))
+        assert report.failures
+        self._check(report)
 
 
 class TestVerify:

@@ -713,7 +713,8 @@ class TestFinitePayload:
     """A handler's payload holding nan or inf never prints as ``status: ok``.
 
     ``counterexample`` is fed a report whose residual field holds each
-    shape; ``asdict`` carries it into the payload unchanged.
+    shape; ``cli._record`` reads the report into the payload with every
+    leaf unchanged.
     """
 
     @pytest.mark.parametrize(

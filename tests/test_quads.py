@@ -1,17 +1,23 @@
 """Tests for quadrilateral construction and the built-in counterexample."""
 
+import argparse
 import json
 import math
+import struct
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semichord import (
+    CentralAngles,
     DomainError,
+    InvalidAnglesError,
     PlacementError,
+    SemichordError,
+    arcs_from_sides,
     closing_side,
     counterexample_report,
     diagonal,
@@ -21,9 +27,11 @@ from semichord import (
     rhs_quadrilateral,
     side_lengths,
     solve_diameter,
+    vertices_from_angles,
 )
 from semichord import cli, quads
 from semichord.cli import main
+from semichord.quads import QuadArrangement
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -237,6 +245,107 @@ class TestEnumerateIncongruentQuads:
                 assert abs(want - got) <= 1e-10 * reference
 
 
+def _checked_quads(a, b, c):
+    """The arrangements built through the public checked steps.
+
+    Each partition goes through ``CentralAngles(arcs_from_sides(...))``,
+    which ``enumerate_incongruent_quads`` replaces with the partition it
+    checks where it builds it.
+    """
+    d = diameter_cubic(a, b, c)
+    arrangements = []
+    for order in sorted(set(permutations((float(a), float(b), float(c))))):
+        if order > order[::-1]:
+            continue
+        poly = vertices_from_angles(CentralAngles(arcs_from_sides(order, d)), 0.5 * d)
+        arrangements.append(QuadArrangement(order, d, poly, order[1]))
+    return arrangements
+
+
+def _quads_outcome(build, a, b, c):
+    """Every arrangement's floats as bytes, or the error's class, code and message."""
+    try:
+        arrangements = build(a, b, c)
+    except SemichordError as error:
+        return type(error), error.code, str(error)
+    return [
+        (
+            type(arr),
+            struct.pack(
+                "<14d",
+                *arr.ordered_sides,
+                arr.d,
+                arr.middle_side,
+                arr.polygon.radius,
+                *(x for point in arr.polygon.vertices for x in point),
+            ),
+        )
+        for arr in arrangements
+    ]
+
+
+#: Subnormal and smallest-normal sides, whose arcs on a unit-sized d underflow.
+TINY_SIDES = (5e-324, 1e-323, 2.5e-320, 2.2250738585072014e-308)
+
+
+@st.composite
+def cubic_sides(draw):
+    """Three sides, often with repeats, scaled by 2^k with |k| <= 1000.
+
+    Ratios lie in [1e-3, 1] or among ``TINY_SIDES``; a tiny side is left
+    unscaled, so it stays near 5e-324, and the others stay far from
+    overflow.
+    """
+    k = draw(st.integers(min_value=-1000, max_value=1000))
+    pool = [
+        draw(st.sampled_from(TINY_SIDES))
+        if draw(st.integers(min_value=0, max_value=4)) == 0
+        else math.ldexp(draw(st.floats(min_value=1e-3, max_value=1.0)), k)
+        for _ in range(3)
+    ]
+    pattern = draw(st.sampled_from([(0, 1, 2), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 0)]))
+    return tuple(pool[i] for i in pattern)
+
+
+class TestArrangementsMatchTheCheckedConstruction:
+    """enumerate_incongruent_quads checks its partitions where it builds them.
+
+    Its ``_partition`` relies on the cubic's d being at least the largest
+    side and falls back to ``CentralAngles`` otherwise; either way every
+    arrangement, or the error, is that of the checked construction.
+    """
+
+    @given(sides=cubic_sides())
+    @example(sides=(1.0, 1.0, 1.0))
+    @example(sides=(3.0, 4.0, 5.0))
+    @example(sides=(2.0**-1000, 1.0, 2.0**1000))
+    # One arc underflows to 0.0 and two stay positive: both arrangements place.
+    @example(sides=(5e-324, 2.0, 2.0))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_bit_for_bit(self, sides):
+        assert _quads_outcome(enumerate_incongruent_quads, *sides) == _quads_outcome(
+            _checked_quads, *sides
+        )
+
+    @given(sides=cubic_sides())
+    @settings(max_examples=400, deadline=None)
+    def test_cubic_diameter_is_at_least_the_largest_side(self, sides):
+        try:
+            d = diameter_cubic(*sides)
+        except DomainError:  # a side scaled to 0.0 or past the float range
+            return
+        assert d >= max(sides)
+
+    def test_two_underflowed_arcs_keep_the_zero_arc_rule(self):
+        outcome = (
+            InvalidAnglesError,
+            "invalid_angles",
+            "at least two arcs must be strictly positive",
+        )
+        assert _quads_outcome(_checked_quads, 5e-324, 5e-324, 4.0) == outcome
+        assert _quads_outcome(enumerate_incongruent_quads, 5e-324, 5e-324, 4.0) == outcome
+
+
 class TestConstructCommand:
     def test_near_tie_counts_three(self, capsys):
         assert main(["construct", "1,1.000000001,2"]) == 0
@@ -256,6 +365,21 @@ class TestConstructCommand:
         monkeypatch.setattr(cli, "diameter_cubic", counting, raising=False)
         assert main(["construct", "3,4,5"]) == 0
         assert calls == [(3.0, 4.0, 5.0)]
+
+    @pytest.mark.parametrize(
+        "values", ["3,4,5", "1,1,2", "1,1,1", "5e-324,2,2", "1e-300,1,1e300"]
+    )
+    def test_diagonals_are_the_public_diagonals(self, values):
+        payload, _ = cli._cmd_construct(argparse.Namespace(values=values))
+        sides = [float(v) for v in values.split(",")]
+        arrangements = enumerate_incongruent_quads(*sides)
+        assert len(payload["arrangements"]) == len(arrangements)
+        for placed, arr in zip(payload["arrangements"], arrangements):
+            assert placed["vertices"] == arr.polygon.vertices
+            got = placed["diagonals"]
+            assert struct.pack("<2d", got["first"], got["second"]) == struct.pack(
+                "<2d", diagonal(arr.polygon, 0, 2), diagonal(arr.polygon, 1, 3)
+            )
 
 
 class TestCounterexampleReport:
