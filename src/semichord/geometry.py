@@ -18,11 +18,11 @@ A polygon placed from arcs is validated once, where it enters:
 then checks only the radius and the lowest vertex, falling back to the
 full per-vertex validator for a vertex below the diameter.  An
 ``InscribedPolygon`` built directly checks every vertex.
-``solver.inscribe_from_sides`` checks its partition where it builds it
-and passes it on through ``_checked_angles``: its sides are positive
-and finite and its solved d is at least the largest side, so every arc
-but the complement is finite and non-negative by construction, and it
-checks the complement's sign, the half-turn sum and two positive arcs.
+A partition built from sides on their solved diameter is checked where
+it is built, by ``_checked_angles``: ``solver._partition``'s docstring
+states the premise that leaves it only three of ``CentralAngles``' rules
+to check, and a list that fails one goes to ``CentralAngles`` for its
+error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from math import cos, sin
+from math import cos, fsum, pi, sin
 
 from .errors import DomainError, IndexRangeError, InvalidAnglesError
 
@@ -104,7 +104,7 @@ class CentralAngles:
         if len(arcs) < 2:
             raise InvalidAnglesError("need at least 2 arcs (3 vertices)")
         try:
-            total = math.fsum(arcs)
+            total = fsum(arcs)
         except (OverflowError, ValueError):  # finite overflow; inf + -inf
             total = math.inf
         # min() can pass over a negative arc behind a nan, so it stands in
@@ -112,11 +112,11 @@ class CentralAngles:
         if min(arcs) < 0.0 if math.isfinite(total) else any(a < 0.0 for a in arcs):
             raise InvalidAnglesError("arcs must be non-negative")
         # Negated so that a nan arc, which makes the sum nan, fails it.
-        if not abs(total - math.pi) <= ARC_SUM_TOL:
+        if not abs(total - pi) <= ARC_SUM_TOL:
             if not math.isfinite(total):
                 raise InvalidAnglesError("arcs must be finite and sum to pi")
             raise InvalidAnglesError(
-                f"arcs must sum to pi, got {total!r} (off by {total - math.pi:.3e})"
+                f"arcs must sum to pi, got {total!r} (off by {total - pi:.3e})"
             )
         # Every arc is finite and non-negative here, so the rest are positive.
         if len(arcs) - arcs.count(0.0) < 2:
@@ -133,16 +133,28 @@ class CentralAngles:
         return CentralAngles(self.arcs[::-1])
 
 
-def _checked_angles(arcs: list[float]) -> CentralAngles:
-    """``CentralAngles`` of float arcs the caller has already checked.
+def _checked_angles(arcs: list[float], widest: int) -> CentralAngles:
+    """``CentralAngles(arcs)`` for arcs built on ``solver._partition``'s premise.
 
-    Skips ``__post_init__``; the caller guarantees every rule it checks.
-    It lives here so that it reaches the class even where a caller's own
-    imported ``CentralAngles`` name is rebound, say to a tracing wrapper.
+    The premise makes every arc but ``arcs[widest]`` finite and
+    non-negative, which leaves three of ``CentralAngles``' rules:
+    ``arcs[widest]`` is non-negative, the arcs sum to a half turn within
+    ``ARC_SUM_TOL``, and at least two are positive.  A list that meets
+    them is wrapped without ``__post_init__``; any other goes to
+    ``CentralAngles`` for its error.  It lives here so that it reaches
+    the class even where a caller's own imported ``CentralAngles`` name
+    is rebound, say to a tracing wrapper.
     """
-    angles = object.__new__(CentralAngles)
-    object.__setattr__(angles, "arcs", tuple(arcs))
-    return angles
+    if (
+        0.0 <= arcs[widest]
+        and abs(fsum(arcs) - pi) <= ARC_SUM_TOL
+        # A ratio a / d that underflows gives a zero arc.
+        and len(arcs) - arcs.count(0.0) >= 2
+    ):
+        angles = object.__new__(CentralAngles)
+        object.__setattr__(angles, "arcs", tuple(arcs))
+        return angles
+    return CentralAngles(arcs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +180,7 @@ class InscribedPolygon:
         tol = VERTEX_TOL * R
         if not (math.dist(pts[0], (-R, 0.0)) <= tol and math.dist(pts[-1], (R, 0.0)) <= tol):
             raise InvalidAnglesError("diameter endpoints must sit at (-R, 0) and (R, 0)")
-        prev_angle = math.pi
+        prev_angle = pi
         for x, y in pts:
             # Scale-free: x*x + y*y - R*R under- or overflows far from R = 1.
             xr, yr = x / R, y / R
@@ -222,7 +234,7 @@ def chord_from_angle(arc: float, radius: float) -> float:
     """
     R = _radius(radius)
     arc = _real(arc, "arc must be a real number")
-    if 0.0 <= arc <= math.pi:
+    if 0.0 <= arc <= pi:
         return 2.0 * R * sin(0.5 * arc)
     raise DomainError("arc must lie in [0, pi]")
 
@@ -248,7 +260,7 @@ def vertices_from_angles(angles: CentralAngles, radius: float) -> InscribedPolyg
     """
     R = _radius(radius)
     pts = [(-R, 0.0)]
-    theta = math.pi
+    theta = pi
     for arc in angles.arcs[:-1]:
         theta -= arc
         pts.append((R * cos(theta), R * sin(theta)))

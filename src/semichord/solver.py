@@ -40,7 +40,6 @@ from operator import mul
 
 from .errors import ConvergenceError, DomainError
 from .geometry import (
-    ARC_SUM_TOL,
     CentralAngles,
     InscribedPolygon,
     _checked_angles,
@@ -81,7 +80,7 @@ def _ratio(a: float, d: float) -> float:
     """a/d for a positive finite side, with noise above 1 clamped to 1.
 
     Only ratios the callers cannot pass inline come here: a side above
-    d, or one that :func:`_arcs` has yet to check.
+    d, or one that :func:`arcs_from_sides` has yet to check.
     """
     if not 0.0 < a < inf:
         raise DomainError(_SIDES_NOT_FINITE)
@@ -247,15 +246,9 @@ def arcs_from_sides(sides, d: float) -> list[float]:
     well-conditioned rounding.  Raises :class:`DomainError` for a side
     that is not positive and finite, or longer than d beyond the clamp.
     """
-    return _arcs(*_sides_and_diameter(sides, d))
-
-
-def _arcs(sides: tuple[float, ...], d: float) -> list[float]:
-    """:func:`arcs_from_sides` on a float tuple and a checked d."""
+    sides, d = _sides_and_diameter(sides, d)
     # A valid side has 0 < a <= d but for clamp noise; _ratio checks the rest.
-    arcs = [
-        2.0 * asin(a / d if 0.0 < a <= d else _ratio(a, d)) for a in sides
-    ]
+    arcs = [2.0 * asin(a / d if 0.0 < a <= d else _ratio(a, d)) for a in sides]
     widest = sides.index(max(sides))
     # fsum is correctly rounded, so the zeroed entry leaves the sum exact.
     arcs[widest] = 0.0
@@ -264,10 +257,11 @@ def _arcs(sides: tuple[float, ...], d: float) -> list[float]:
 
 
 def _partition(sides: tuple[float, ...], d: float) -> CentralAngles:
-    """``CentralAngles(_arcs(sides, d))`` for positive finite sides and their d.
+    """``CentralAngles(arcs_from_sides(sides, d))`` for sides and their solved d.
 
-    Both callers pass sides a root finder has read through ``_scaled``
-    and the diameter it solved, which is at least m = max(sides):
+    The premise: both callers pass sides a root finder has read through
+    ``_scaled``, so positive and finite, and the diameter it solved,
+    which is at least m = max(sides):
     - :func:`inscribe_from_sides` takes d = m / t from ``_solve``, whose
       Newton descent keeps t <= t0 <= 1, so m <= d holds exactly;
     - :func:`~semichord.quads.enumerate_incongruent_quads` takes
@@ -275,26 +269,20 @@ def _partition(sides: tuple[float, ...], d: float) -> CentralAngles:
       u* >= sqrt(s) >= 1 is approached from u0 >= sqrt(s) >= 1 (s, the
       sum of squared ratios, holds (m / m)^2 = 1).
     Checked here as m <= d, the premise lets every ratio skip ``_ratio``
-    and makes every arc but the complement finite and non-negative.  Of
-    ``CentralAngles``' rules that leaves the complement's sign, the
-    half-turn sum and two positive arcs, which are checked on the built
-    list.  Any other case goes the checked way, so floats and errors are
-    those of ``CentralAngles(_arcs(sides, d))``.
+    and makes every arc but the complement finite and non-negative, so
+    ``geometry._checked_angles`` checks only the rest of
+    ``CentralAngles``' rules on the built list.  Without the premise the
+    arcs go the checked way.  Either way the floats and errors are those
+    of ``CentralAngles(arcs_from_sides(sides, d))``.
     """
     m = max(sides)
-    if m <= d:
-        arcs = [2.0 * asin(a / d) for a in sides]
-        widest = sides.index(m)
-        arcs[widest] = 0.0
-        arcs[widest] = pi - fsum(arcs)
-        if (
-            0.0 <= arcs[widest]
-            and abs(fsum(arcs) - pi) <= ARC_SUM_TOL
-            # A ratio a / d that underflows gives a zero arc.
-            and len(arcs) - arcs.count(0.0) >= 2
-        ):
-            return _checked_angles(arcs)
-    return CentralAngles(_arcs(sides, d))
+    if not m <= d:
+        return CentralAngles(arcs_from_sides(sides, d))
+    arcs = [2.0 * asin(a / d) for a in sides]
+    widest = sides.index(m)
+    arcs[widest] = 0.0
+    arcs[widest] = pi - fsum(arcs)
+    return _checked_angles(arcs, widest)
 
 
 def inscribe_from_sides(sides) -> InscribedPolygon:
@@ -302,9 +290,8 @@ def inscribe_from_sides(sides) -> InscribedPolygon:
 
     Only :func:`solve_diameter` returns the certified bracket; this
     takes the same d without building it.  The arc partition is checked
-    where it is built, by ``_partition``: the solved d is at least the
-    largest side, so only the complement arc's sign, the half-turn sum
-    and the two-positive-arcs rule are left to check.
+    where it is built, by ``_partition``, whose docstring states the
+    premise that makes it safe.
     """
     # _solve returns the sides as a tuple, so a one-shot iterable is read once.
     sides, d, _, _ = _solve(sides)

@@ -29,7 +29,7 @@ from semichord import (
     vertices_from_angles,
 )
 from semichord import corner_identity_residual, fuzz
-from semichord.geometry import ARC_SUM_TOL
+from semichord.geometry import ARC_SUM_TOL, _checked_angles
 from semichord.identity import _D_MAX, _D_MIN, _general_identity
 
 
@@ -124,6 +124,54 @@ class TestCentralAngles:
         with pytest.raises(InvalidAnglesError) as info:
             CentralAngles(arcs)
         assert str(info.value) == message
+
+
+
+def _angles_outcome(build, arcs):
+    """The angles ``build`` gives, or the class and message it raises."""
+    try:
+        return build(arcs)
+    except SemichordError as error:
+        return type(error), str(error)
+
+
+class TestCheckedAngles:
+    """``_checked_angles`` keeps ``CentralAngles``' rules for built arcs.
+
+    Every arc but ``arcs[widest]`` is finite and non-negative, as where
+    ``solver._partition`` builds them; each row breaks one of the three
+    rules left, and must get ``CentralAngles(arcs)``'s error.
+    """
+
+    @pytest.mark.parametrize(
+        "arcs, widest",
+        [
+            ([2.0, 1.5, math.pi - 3.5], 2),
+            ([1.0, 1.0, math.pi - 2.0 + 4 * ARC_SUM_TOL], 2),
+            ([1.0, 1.0, math.pi - 2.0 - 4 * ARC_SUM_TOL], 2),
+            ([0.0, math.pi], 1),
+            ([0.0, math.pi, 0.0], 1),
+            ([1.0, math.nan, 1.0], 1),
+        ],
+        ids=["negative-widest", "sum-high", "sum-low", "one-positive", "one-of-three", "nan"],
+    )
+    def test_failed_rule_gets_the_central_angles_error(self, arcs, widest):
+        got = _angles_outcome(lambda a: _checked_angles(a, widest), arcs)
+        assert got == _angles_outcome(CentralAngles, arcs)
+        assert got[0] is InvalidAnglesError
+
+    @pytest.mark.parametrize(
+        "arcs, widest",
+        [
+            ([1.0, 1.0, math.pi - 2.0], 2),
+            ([0.0, 1.0, math.pi - 1.0], 2),
+            ([1.0, math.pi - 1.0 + 0.5 * ARC_SUM_TOL], 1),
+        ],
+    )
+    def test_passing_list_is_the_central_angles(self, arcs, widest):
+        angles = _checked_angles(arcs, widest)
+        assert type(angles) is CentralAngles
+        assert angles == CentralAngles(arcs)
 
 
 class TestVerticesFromAngles:

@@ -619,15 +619,16 @@ def _outcome(build, *args):
 
 
 def _checked_partition(sides, d):
-    return CentralAngles(solver._arcs(sides, d))
+    return CentralAngles(arcs_from_sides(sides, d))
 
 
 class TestPartitionPremise:
     """inscribe_from_sides checks its arc partition where it builds it.
 
     ``_partition`` relies on the solved d being at least the largest side
-    and falls back to ``CentralAngles(_arcs(sides, d))`` otherwise; either
-    way it gives that call's arcs, or its exception class and message.
+    and falls back to ``CentralAngles(arcs_from_sides(sides, d))``
+    otherwise; either way it gives that call's arcs, or its exception
+    class and message.
     """
 
     @given(sides=semicircle_sides())
@@ -662,6 +663,13 @@ class TestPartitionPremise:
         with pytest.raises(InvalidAnglesError) as info:
             inscribe_from_sides(list(sides))
         assert info.value.code == "invalid_angles"
+
+    def test_failed_rule_builds_the_arcs_once(self):
+        sides = (5e-324, 4.0)
+        d = solver._solve(sides)[1]
+        with mock.patch.object(solver, "arcs_from_sides", side_effect=AssertionError):
+            with pytest.raises(InvalidAnglesError):
+                solver._partition(sides, d)
 
     @pytest.mark.parametrize(
         "sides, d, error",
