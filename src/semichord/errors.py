@@ -40,7 +40,12 @@ class PlacementError(SemichordError, ValueError):
 
 
 class ConvergenceError(SemichordError, RuntimeError):
-    """Root finding hit the iteration cap; carries the final bracket."""
+    """Root finding hit the iteration cap; carries the final bracket.
+
+    The bracket is in the root finder's normalised variable, not in d:
+    t = max(sides) / d in ``solver._solve`` and u = d / max(sides) in
+    :func:`~semichord.quads.diameter_cubic`.
+    """
 
     code = "no_convergence"
 

@@ -68,12 +68,13 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, state: int) -> None:
-        self.state = state & _MASK64
+        self.state = _integer(state, "state must be an integer") & _MASK64
 
     @classmethod
     def for_trial(cls, seed: int, trial: int) -> SplitMix64:
         """Substream for one trial: the counter jumped past all earlier ones."""
-        return cls(seed + trial * _TRIAL_STRIDE * _GAMMA)
+        seed = _integer(seed, "seed must be an integer")
+        return cls(seed + _integer(trial, "trial must be an integer") * _TRIAL_STRIDE * _GAMMA)
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64

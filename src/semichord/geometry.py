@@ -11,8 +11,8 @@ Every real input but the closed forms' lengths is read by ``_real``'s
 rule: a value ``float()`` reads is a real number, a real no float holds
 (``10**400``, a ``Decimal`` sNaN) reads as nan for the caller's range
 check, and any other value, or a str given as a whole sequence, is not.
-An integer input (a count, an index, a bound) is read by ``_integer``'s
-rule: an int that is not a bool.
+An integer input (a count, an index, a bound, a seed) is read by
+``_integer``'s rule: an int that is not a bool.
 A polygon placed from arcs is validated once, where it enters:
 ``CentralAngles`` checks the arc partition, and ``vertices_from_angles``
 then checks only the radius and the lowest vertex, falling back to the
@@ -148,7 +148,7 @@ def _checked_angles(arcs: list[float], widest: int) -> CentralAngles:
     if (
         0.0 <= arcs[widest]
         and abs(fsum(arcs) - pi) <= ARC_SUM_TOL
-        # A ratio a / d that underflows gives a zero arc.
+        # A side whose ratio to d underflows gives a zero arc.
         and len(arcs) - arcs.count(0.0) >= 2
     ):
         angles = object.__new__(CentralAngles)

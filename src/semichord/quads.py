@@ -128,9 +128,7 @@ def enumerate_incongruent_quads(a: float, b: float, c: float) -> list[QuadArrang
     d = diameter_cubic(a, b, c)
     radius = 0.5 * d
     arrangements: list[QuadArrangement] = []
-    for order in sorted(set(permutations(_floats((a, b, c))))):
-        if order > order[::-1]:
-            continue
+    for order in sorted({p for p in permutations(_floats((a, b, c))) if p <= p[::-1]}):
         poly = vertices_from_angles(_partition(order, d), radius)
         arrangements.append(
             QuadArrangement(

@@ -126,7 +126,6 @@ class TestCentralAngles:
         assert str(info.value) == message
 
 
-
 def _angles_outcome(build, arcs):
     """The angles ``build`` gives, or the class and message it raises."""
     try:

@@ -556,8 +556,27 @@ class TestIntegerInputs:
             (nested_quadrilateral_check, (QUADRILATERAL, "1"), "k must be an integer"),
             (SplitMix64(1).next_below, (-3,), "n must be at least 1"),
             (SplitMix64(1).next_below, (0,), "n must be at least 1"),
+            (SplitMix64, (1.5,), "state must be an integer"),
+            (SplitMix64, (True,), "state must be an integer"),
+            (SplitMix64.for_trial, (1.5, 0), "seed must be an integer"),
+            (SplitMix64.for_trial, (False, 0), "seed must be an integer"),
+            (SplitMix64.for_trial, (1, 2.0), "trial must be an integer"),
+            (SplitMix64.for_trial, (1, True), "trial must be an integer"),
         ],
-        ids=["random_angles-bool", "diagonal-float", "k-float", "k-str", "below-3", "below0"],
+        ids=[
+            "random_angles-bool",
+            "diagonal-float",
+            "k-float",
+            "k-str",
+            "below-3",
+            "below0",
+            "state-float",
+            "state-bool",
+            "seed-float",
+            "seed-bool",
+            "trial-float",
+            "trial-bool",
+        ],
     )
     def test_raises_domain_error(self, call, args, message):
         with pytest.raises(DomainError) as info:

@@ -667,9 +667,10 @@ class TestPartitionPremise:
     def test_failed_rule_builds_the_arcs_once(self):
         sides = (5e-324, 4.0)
         d = solver._solve(sides)[1]
-        with mock.patch.object(solver, "arcs_from_sides", side_effect=AssertionError):
+        with mock.patch.object(solver, "asin", wraps=math.asin) as asin:
             with pytest.raises(InvalidAnglesError):
                 solver._partition(sides, d)
+        assert asin.call_count == len(sides)
 
     @pytest.mark.parametrize(
         "sides, d, error",
