@@ -30,7 +30,7 @@ from .geometry import (
 from .geometry import CentralAngles  # noqa: F401  (rebound here by bench/spans.py)
 from .geometry import diagonal  # noqa: F401  (rebound here by bench/spans.py)
 from .identity import rhs_quadrilateral
-from .solver import _newton_descent, _partition, _scaled
+from .solver import _finite, _newton_descent, _partition, _scaled
 from .solver import arcs_from_sides  # noqa: F401  (rebound here by bench/spans.py)
 
 
@@ -70,8 +70,7 @@ def diameter_cubic(a: float, b: float, c: float) -> float:
     not positive and finite, and when d is not a finite float, as when
     it overflows.
     """
-    sides = _floats((a, b, c))
-    m, (ca, cb, cc), _ = _scaled(sides)
+    sides, m, (ca, cb, cc), _ = _scaled((a, b, c))
     s = ca * ca + cb * cb + cc * cc
     p = 2.0 * ca * cb * cc
 
@@ -79,10 +78,7 @@ def diameter_cubic(a: float, b: float, c: float) -> float:
     u, _, _ = _newton_descent(
         lambda u: (u * u - s) * u - p, lambda u: 3.0 * u * u - s, u0, 1.0
     )
-    d = m * u
-    if not math.isfinite(d):
-        raise DomainError(f"sides {sides!r} have no finite diameter")
-    return d
+    return _finite(sides, m * u)
 
 
 def closing_side(a: float, b: float, d: float) -> float:

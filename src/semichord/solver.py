@@ -163,11 +163,18 @@ def _bracket_end(sides: tuple[float, ...], d: float, sign: float) -> float:
     return end
 
 
-def _scaled(sides: tuple[float, ...]) -> tuple[float, list[float], float]:
-    """The largest side m, the ratios a/m and their sum, for both root finders.
+def _scaled(sides) -> tuple[tuple[float, ...], float, list[float], float]:
+    """The only front end of both root finders: ``sides`` read and scaled.
 
-    Raises :class:`DomainError` unless every side is positive and finite.
+    Reads the sides with ``_floats`` and returns them as a float tuple,
+    with the largest side m, the ratios a/m and their sum.  Raises
+    :class:`DomainError` for a side that is not a real number, for fewer
+    than two sides, and unless every side is positive and finite, in
+    that order.
     """
+    sides = _floats(sides)
+    if len(sides) < 2:
+        raise DomainError("need at least 2 sides to form a polygon on the semicircle")
     if not 0.0 < min(sides):
         raise DomainError(_SIDES_NOT_FINITE)
     m = max(sides)
@@ -175,7 +182,14 @@ def _scaled(sides: tuple[float, ...]) -> tuple[float, list[float], float]:
     ratio_sum = fsum(ratios)
     if ratio_sum != ratio_sum:  # inf / inf, or a nan side that min passed over
         raise DomainError(_SIDES_NOT_FINITE)
-    return m, ratios, ratio_sum
+    return sides, m, ratios, ratio_sum
+
+
+def _finite(sides: tuple[float, ...], d: float) -> float:
+    """A root finder's ``d``, checked finite: the only overflow rule for both."""
+    if not isfinite(d):
+        raise DomainError(f"sides {sides!r} have no finite diameter")
+    return d
 
 
 def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
@@ -185,10 +199,7 @@ def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
     normalised arc-sum residual and the Newton step count.  Raises as
     :func:`solve_diameter` does.
     """
-    sides = _floats(sides)
-    if len(sides) < 2:
-        raise DomainError("need at least 2 sides to form a polygon on the semicircle")
-    m, ratios, ratio_sum = _scaled(sides)
+    sides, m, ratios, ratio_sum = _scaled(sides)
 
     def g(t: float) -> float:
         total = 0.0
@@ -211,10 +222,7 @@ def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
 
     t0 = min(1.0 / sqrt(fsum(map(mul, ratios, ratios))), 0.5 * pi / ratio_sum)
     t, residual, steps = _newton_descent(g, g_slope, t0, 1.0 / ratio_sum)
-    d = m / t
-    if not isfinite(d):
-        raise DomainError(f"sides {sides!r} have no finite diameter")
-    return sides, d, residual, steps
+    return sides, _finite(sides, m / t), residual, steps
 
 
 def solve_diameter(sides) -> DiameterSolution:

@@ -351,6 +351,7 @@ SIDES_NOT_FINITE = "all sides must be positive and finite"
 D_NOT_REAL = "diameter must be a real number"
 D_NOT_FINITE = "diameter must be positive and finite"
 VERTICES_NOT_REAL = "vertices must be pairs of real numbers"
+NEED_TWO_SIDES = "need at least 2 sides to form a polygon on the semicircle"
 
 
 class TestSolverNonReal:
@@ -381,6 +382,22 @@ class TestSolverNonReal:
             pytest.param(
                 arc_sum, (Fraction(1, 10**400), [1.0]), D_NOT_FINITE, id="arc_sum-1/10**400"
             ),
+            # The root finders' reader checks in order: real numbers, at
+            # least two sides, then each side positive and finite.  The
+            # inner list is rebuilt per call, so each gets its own iterator.
+            *[
+                (call, (sides,), message)
+                for call in (solve_diameter, inscribe_from_sides)
+                for sides, message in [
+                    ([], NEED_TWO_SIDES),
+                    ([0.0], NEED_TWO_SIDES),
+                    ([NAN], NEED_TWO_SIDES),
+                    (iter([3.0]), NEED_TWO_SIDES),
+                    (["x"], SIDES_NOT_REAL),
+                    ([1.0, 0.0, "x"], SIDES_NOT_REAL),
+                    ("ab", SIDES_NOT_REAL),
+                ]
+            ],
         ],
     )
     def test_raises_domain_error(self, call, args, message):
@@ -441,6 +458,9 @@ class TestQuadsAndClosedFormsNonReal:
                 (None,),
                 "tolerance_rel must be a real number",
             ),
+            # Every side is read before any is range-checked.
+            (diameter_cubic, (0.0, "x", 1.0), SIDES_NOT_REAL),
+            (diameter_cubic, (NAN, -1, 2), SIDES_NOT_FINITE),
         ],
     )
     def test_raises_domain_error(self, call, args, message):

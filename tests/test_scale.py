@@ -106,8 +106,9 @@ def test_subnormal_radius_is_a_domain_error():
         closing_side(1e-310, 1e-310, 3e-310)
 
 
-# Each root finder checks its own d; a later check, such as arc_sum's on
-# the diameter, would raise a different message.
+# Both root finders read, count and check their sides in solver._scaled,
+# and check their d in solver._finite, the only overflow rule; a later
+# check, such as arc_sum's on the diameter, would raise a different message.
 def test_overflowing_diameter_is_a_domain_error():
     for solve, sides in [
         (solve_diameter, [1.7e308, 1.7e308]),
