@@ -18,11 +18,10 @@ A polygon placed from arcs is validated once, where it enters:
 then checks only the radius and the lowest vertex, falling back to the
 full per-vertex validator for a vertex below the diameter.  An
 ``InscribedPolygon`` built directly checks every vertex.
-A partition built from sides on their solved diameter is checked where
-it is built, by ``_checked_angles``: ``solver._partition``'s docstring
-states the premise that leaves it only three of ``CentralAngles``' rules
-to check, and a list that fails one goes to ``CentralAngles`` for its
-error.
+A partition built from sides by ``solver._arcs`` is checked where it
+is built, by ``_checked_angles``: the way it is built leaves two of
+``CentralAngles``' rules to check, and a list that fails one goes to
+``CentralAngles`` for its error.
 """
 
 from __future__ import annotations
@@ -134,23 +133,21 @@ class CentralAngles:
 
 
 def _checked_angles(arcs: list[float], widest: int) -> CentralAngles:
-    """``CentralAngles(arcs)`` for arcs built on ``solver._partition``'s premise.
+    """``CentralAngles(arcs)`` for arcs built from sides by ``solver._arcs``.
 
-    The premise makes every arc but ``arcs[widest]`` finite and
-    non-negative, which leaves three of ``CentralAngles``' rules:
-    ``arcs[widest]`` is non-negative, the arcs sum to a half turn within
-    ``ARC_SUM_TOL``, and at least two are positive.  A list that meets
-    them is wrapped without ``__post_init__``; any other goes to
+    Every arc but ``arcs[widest]`` lies in [0, pi], and ``arcs[widest]``
+    is pi less the others' correctly rounded sum.  That leaves two of
+    ``CentralAngles``' rules: ``arcs[widest]`` is non-negative, and at
+    least two arcs are positive.  A non-negative complement closes the
+    half turn to within about one ulp of pi, far inside
+    ``ARC_SUM_TOL``, so the sum needs no check.  A list that meets both
+    rules is wrapped without ``__post_init__``; any other goes to
     ``CentralAngles`` for its error.  It lives here so that it reaches
     the class even where a caller's own imported ``CentralAngles`` name
     is rebound, say to a tracing wrapper.
     """
-    if (
-        0.0 <= arcs[widest]
-        and abs(fsum(arcs) - pi) <= ARC_SUM_TOL
-        # A side whose ratio to d underflows gives a zero arc.
-        and len(arcs) - arcs.count(0.0) >= 2
-    ):
+    # A side whose ratio to d underflows gives a zero arc.
+    if 0.0 <= arcs[widest] and len(arcs) - arcs.count(0.0) >= 2:
         angles = object.__new__(CentralAngles)
         object.__setattr__(angles, "arcs", tuple(arcs))
         return angles

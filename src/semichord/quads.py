@@ -118,8 +118,7 @@ def enumerate_incongruent_quads(a: float, b: float, c: float) -> list[QuadArrang
     reversal, each kept as the lesser of itself and its reverse, and
     their count is the number of distinct sides: 3, 2 or 1.  Each
     arrangement's arc partition is checked where it is built, by
-    ``solver._partition``, whose docstring states the premise the cubic's
-    d meets.
+    ``solver._partition``.
     """
     d = diameter_cubic(a, b, c)
     radius = 0.5 * d

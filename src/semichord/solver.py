@@ -80,7 +80,7 @@ def _ratio(a: float, d: float) -> float:
     """a/d for a positive finite side, with noise above 1 clamped to 1.
 
     Only ratios the callers cannot pass inline come here: a side above
-    d, or one that :func:`arcs_from_sides` has yet to check.
+    d, or one that ``_arcs`` has yet to check.
     """
     if not 0.0 < a < inf:
         raise DomainError(_SIDES_NOT_FINITE)
@@ -245,6 +245,22 @@ def solve_diameter(sides) -> DiameterSolution:
     )
 
 
+def _arcs(sides: tuple[float, ...], d: float) -> tuple[list[float], int]:
+    """:func:`arcs_from_sides` on read sides and diameter, with the widest's index.
+
+    Every arc but the widest side's complement lies in [0, pi], so a
+    non-negative complement closes the half turn to within about one
+    ulp of pi.
+    """
+    # A valid side has 0 < a <= d but for clamp noise; _ratio checks the rest.
+    arcs = [2.0 * asin(a / d if 0.0 < a <= d else _ratio(a, d)) for a in sides]
+    widest = sides.index(max(sides))
+    # fsum is correctly rounded, so the zeroed entry leaves the sum exact.
+    arcs[widest] = 0.0
+    arcs[widest] = pi - fsum(arcs)
+    return arcs, widest
+
+
 def arcs_from_sides(sides, d: float) -> list[float]:
     """Central angles of the sides on diameter ``d``, summing to pi.
 
@@ -254,43 +270,17 @@ def arcs_from_sides(sides, d: float) -> list[float]:
     well-conditioned rounding.  Raises :class:`DomainError` for a side
     that is not positive and finite, or longer than d beyond the clamp.
     """
-    sides, d = _sides_and_diameter(sides, d)
-    # A valid side has 0 < a <= d but for clamp noise; _ratio checks the rest.
-    arcs = [2.0 * asin(a / d if 0.0 < a <= d else _ratio(a, d)) for a in sides]
-    widest = sides.index(max(sides))
-    # fsum is correctly rounded, so the zeroed entry leaves the sum exact.
-    arcs[widest] = 0.0
-    arcs[widest] = pi - fsum(arcs)
-    return arcs
+    return _arcs(*_sides_and_diameter(sides, d))[0]
 
 
 def _partition(sides: tuple[float, ...], d: float) -> CentralAngles:
-    """``CentralAngles(arcs_from_sides(sides, d))`` for sides and their solved d.
+    """``CentralAngles(arcs_from_sides(sides, d))`` for read sides and diameter.
 
-    The premise: both callers pass sides a root finder has read through
-    ``_scaled``, so positive and finite, and the diameter it solved,
-    which is at least m = max(sides):
-    - :func:`inscribe_from_sides` takes d = m / t from ``_solve``, whose
-      Newton descent keeps t <= t0 <= 1, so m <= d holds exactly;
-    - :func:`~semichord.quads.enumerate_incongruent_quads` takes
-      d = m * u from :func:`~semichord.quads.diameter_cubic`, whose root
-      u* >= sqrt(s) >= 1 is approached from u0 >= sqrt(s) >= 1 (s, the
-      sum of squared ratios, holds (m / m)^2 = 1).
-    Checked here as m <= d, the premise lets every ratio skip ``_ratio``
-    and makes every arc but the complement finite and non-negative, so
-    ``geometry._checked_angles`` checks only the rest of
-    ``CentralAngles``' rules on the built list.  Without the premise the
-    arcs go the checked way.  Either way the floats and errors are those
-    of ``CentralAngles(arcs_from_sides(sides, d))``.
+    The arcs are built once, by ``_arcs``, and checked where they are
+    built, by ``geometry._checked_angles``, with the floats and errors
+    of the checked construction for any d.
     """
-    m = max(sides)
-    if not m <= d:
-        return CentralAngles(arcs_from_sides(sides, d))
-    arcs = [2.0 * asin(a / d) for a in sides]
-    widest = sides.index(m)
-    arcs[widest] = 0.0
-    arcs[widest] = pi - fsum(arcs)
-    return _checked_angles(arcs, widest)
+    return _checked_angles(*_arcs(sides, d))
 
 
 def inscribe_from_sides(sides) -> InscribedPolygon:
@@ -298,8 +288,7 @@ def inscribe_from_sides(sides) -> InscribedPolygon:
 
     Only :func:`solve_diameter` returns the certified bracket; this
     takes the same d without building it.  The arc partition is checked
-    where it is built, by ``_partition``, whose docstring states the
-    premise that makes it safe.
+    where it is built, by ``_partition``.
     """
     # _solve returns the sides as a tuple, so a one-shot iterable is read once.
     sides, d, _, _ = _solve(sides)

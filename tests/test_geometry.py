@@ -134,30 +134,62 @@ def _angles_outcome(build, arcs):
         return type(error), str(error)
 
 
+@st.composite
+def built_arcs(draw):
+    """Arcs as ``solver._arcs`` builds them, with the widest's index.
+
+    n - 1 arcs in [0, pi], half the time rescaled to sum to about pi so
+    that the complement sits near 0, and at any index the half-turn
+    complement of their correctly rounded sum.
+    """
+    n = draw(st.integers(min_value=2, max_value=64))
+    arcs = draw(
+        st.lists(st.floats(min_value=0.0, max_value=math.pi), min_size=n - 1, max_size=n - 1)
+    )
+    total = math.fsum(arcs)
+    if total > 0.0 and draw(st.booleans()):
+        arcs = [min(a * (math.pi / total), math.pi) for a in arcs]
+    widest = draw(st.integers(min_value=0, max_value=n - 1))
+    arcs.insert(widest, 0.0)
+    arcs[widest] = math.pi - math.fsum(arcs)
+    return arcs, widest
+
+
 class TestCheckedAngles:
     """``_checked_angles`` keeps ``CentralAngles``' rules for built arcs.
 
-    Every arc but ``arcs[widest]`` is finite and non-negative, as where
-    ``solver._partition`` builds them; each row breaks one of the three
-    rules left, and must get ``CentralAngles(arcs)``'s error.
+    Every arc but ``arcs[widest]`` lies in [0, pi], and ``arcs[widest]``
+    is the complement of their sum, as where ``solver._arcs`` builds
+    them.  That leaves two rules to check; each row breaks one, and must
+    get ``CentralAngles(arcs)``'s error.
     """
 
     @pytest.mark.parametrize(
         "arcs, widest",
         [
             ([2.0, 1.5, math.pi - 3.5], 2),
-            ([1.0, 1.0, math.pi - 2.0 + 4 * ARC_SUM_TOL], 2),
-            ([1.0, 1.0, math.pi - 2.0 - 4 * ARC_SUM_TOL], 2),
             ([0.0, math.pi], 1),
             ([0.0, math.pi, 0.0], 1),
             ([1.0, math.nan, 1.0], 1),
         ],
-        ids=["negative-widest", "sum-high", "sum-low", "one-positive", "one-of-three", "nan"],
+        ids=["negative-widest", "one-positive", "one-of-three", "nan"],
     )
     def test_failed_rule_gets_the_central_angles_error(self, arcs, widest):
         got = _angles_outcome(lambda a: _checked_angles(a, widest), arcs)
         assert got == _angles_outcome(CentralAngles, arcs)
         assert got[0] is InvalidAnglesError
+
+    @given(built=built_arcs())
+    @example(built=([math.pi / 2, math.pi / 2], 0))
+    @example(built=([math.pi, 0.0, 0.0], 0))
+    @settings(max_examples=500, deadline=None)
+    def test_non_negative_complement_closes_the_half_turn(self, built):
+        # So the sum rule CentralAngles checks holds with no check of its own.
+        arcs, widest = built
+        if arcs[widest] >= 0.0:
+            assert abs(math.fsum(arcs) - math.pi) <= 2 * math.ulp(math.pi)
+        got = _angles_outcome(lambda a: _checked_angles(a, widest), arcs)
+        assert got == _angles_outcome(CentralAngles, arcs)
 
     @pytest.mark.parametrize(
         "arcs, widest",

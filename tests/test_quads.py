@@ -310,9 +310,8 @@ def cubic_sides(draw):
 class TestArrangementsMatchTheCheckedConstruction:
     """enumerate_incongruent_quads checks its partitions where it builds them.
 
-    Its ``_partition`` relies on the cubic's d being at least the largest
-    side and falls back to ``CentralAngles`` otherwise; either way every
-    arrangement, or the error, is that of the checked construction.
+    Every arrangement, or the error, is that of the checked construction
+    ``CentralAngles(arcs_from_sides(...))``.
     """
 
     @given(sides=cubic_sides())

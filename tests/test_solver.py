@@ -622,18 +622,18 @@ def _checked_partition(sides, d):
     return CentralAngles(arcs_from_sides(sides, d))
 
 
-class TestPartitionPremise:
+class TestPartitionMatchesTheCheckedConstruction:
     """inscribe_from_sides checks its arc partition where it builds it.
 
-    ``_partition`` relies on the solved d being at least the largest side
-    and falls back to ``CentralAngles(arcs_from_sides(sides, d))``
-    otherwise; either way it gives that call's arcs, or its exception
-    class and message.
+    For any d, solved or not, ``_partition`` gives the arcs of
+    ``CentralAngles(arcs_from_sides(sides, d))``, or its exception class
+    and message.
     """
 
     @given(sides=semicircle_sides())
     @settings(max_examples=300, deadline=None)
     def test_solved_diameter_is_at_least_the_largest_side(self, sides):
+        # So no side of a solved polygon takes _ratio's branch.
         sides, d, _, _ = solver._solve(sides)
         assert d >= max(sides)
 
