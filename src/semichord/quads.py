@@ -10,23 +10,19 @@ root is the circumdiameter shared by every ordering of the three
 chords, so a quadrilateral with those sides always inscribes in a
 semicircle even though an arbitrary planar quadrilateral satisfying
 the same relation need not (see :func:`counterexample_report`).
+Solved for c instead, the same relation gives the closing side of two
+chords on a known diameter (:func:`closing_side`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 
 from .errors import DomainError, PlacementError
-from .geometry import (
-    ARC_SUM_TOL,
-    InscribedPolygon,
-    _diameter,
-    _floats,
-    chord_from_angle,
-    vertices_from_angles,
-)
+from .geometry import InscribedPolygon, _diameter, _floats, _radius, vertices_from_angles
 from .geometry import CentralAngles  # noqa: F401  (rebound here by bench/spans.py)
 from .geometry import diagonal  # noqa: F401  (rebound here by bench/spans.py)
 from .identity import rhs_quadrilateral
@@ -84,27 +80,30 @@ def diameter_cubic(a: float, b: float, c: float) -> float:
 def closing_side(a: float, b: float, d: float) -> float:
     """Fourth side of the inscribed quadrilateral with sides a, b on d.
 
-    Walks two chords of lengths a and b along the semicircle of
-    diameter d; the fourth side is the chord of the arc left over,
-    from the end of the second chord to the far diameter endpoint.
-    Raises :class:`DomainError` for a length that is not a real number
-    or out of range, and :class:`PlacementError` when the chords
-    overshoot the semicircle.
+    Solves the relation of :func:`diameter_cubic` for its third chord c:
+    with x = a/d and y = b/d, c^2 + 2xy d c - g d^2 = 0 for
+    g = 1 - x^2 - y^2, whose root c >= 0 is d g / (h + sqrt(h^2 + g))
+    with h = xy.  g and h are formed exactly and rounded once, so the
+    form has no cancellation, and g < 0, the chords overshooting the
+    semicircle, is decided exactly on the float inputs.  Raises
+    :class:`DomainError` for a length that is not a real number or out
+    of range, or when d/2 is not a normal float, and
+    :class:`PlacementError` when the chords overshoot the semicircle.
     """
     d = _diameter(d)
     a, b = _floats((a, b))
     if not 0.0 < a < d or not 0.0 < b < d:
         raise DomainError("chords must be positive and shorter than the diameter")
-    arc_a = 2.0 * math.asin(a / d)
-    arc_b = 2.0 * math.asin(b / d)
-    remaining = math.pi - arc_a - arc_b
-    if remaining < 0.0:
-        if remaining < -ARC_SUM_TOL:
-            raise PlacementError(
-                f"chords {a!r} and {b!r} overshoot the semicircle of diameter {d!r}"
-            )
-        remaining = 0.0
-    return chord_from_angle(remaining, 0.5 * d)
+    x, y = Fraction(a) / Fraction(d), Fraction(b) / Fraction(d)
+    g = 1 - x * x - y * y
+    if g < 0:
+        raise PlacementError(
+            f"chords {a!r} and {b!r} overshoot the semicircle of diameter {d!r}"
+        )
+    # A subnormal d/2 is a domain error, as for every other radius.
+    _radius(0.5 * d)
+    g, h = float(g), float(x * y)
+    return d * (g / (h + math.sqrt(h * h + g)))
 
 
 def enumerate_incongruent_quads(a: float, b: float, c: float) -> list[QuadArrangement]:

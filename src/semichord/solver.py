@@ -26,9 +26,10 @@ bracketing phase, taking g's slope only at the iterates it steps from.
 Where a bound is exact, as for two sides, rounding may put t0 just left
 of the root; it is then returned at once, as accurate as that rounding.
 :func:`solve_diameter` then certifies a bracket around d with
-:func:`arc_sum` itself, trying d and then stepping outward from it
-until the arc sum crosses pi.  It is the only function here that
-returns one; :func:`inscribe_from_sides` and the fuzz round trip take
+:func:`arc_sum` itself, evaluated once at d: d is an end on each side
+its arc sum allows, and any other end steps outward from d until the
+arc sum crosses pi.  It is the only function here that returns one;
+:func:`inscribe_from_sides` and the fuzz round trip take
 the same d from ``_solve`` without the certificate.
 """
 
@@ -149,18 +150,20 @@ def _newton_descent(value, slope, x: float, floor: float) -> tuple[float, float,
 
 
 def _bracket_end(sides: tuple[float, ...], d: float, sign: float) -> float:
-    """Bracket end at or beyond d in direction ``sign``, as arc_sum computes it.
+    """Bracket end beyond d in direction ``sign``, as arc_sum computes it.
 
     Below d the end has an arc sum of at least pi, above d at most pi.
-    d itself is tried first, then steps doubling from one ulp.  Downward
-    steps stop at the largest side, where the arc sum is at least pi.
+    The caller has found that d itself is not an end; the steps double
+    from one ulp.  Downward steps stop at the largest side, where the
+    arc sum is at least pi.
     """
     floor = max(sides)
-    end, step = d, ulp(d)
-    while sign * (arc_sum(end, sides) - pi) > 0.0:
+    step = ulp(d)
+    while True:
         end = max(d + sign * step, floor)
+        if sign * (arc_sum(end, sides) - pi) <= 0.0:
+            return end
         step *= 2.0
-    return end
 
 
 def _scaled(sides) -> tuple[tuple[float, ...], float, list[float], float]:
@@ -236,10 +239,11 @@ def solve_diameter(sides) -> DiameterSolution:
     finite float, as when it overflows.
     """
     sides, d, residual, steps = _solve(sides)
+    excess = arc_sum(d, sides) - pi
     return DiameterSolution(
         d=d,
-        bracket_low=_bracket_end(sides, d, -1.0),
-        bracket_high=_bracket_end(sides, d, 1.0),
+        bracket_low=d if excess >= 0.0 else _bracket_end(sides, d, -1.0),
+        bracket_high=d if excess <= 0.0 else _bracket_end(sides, d, 1.0),
         iterations=steps,
         arc_sum_residual=abs(residual),
     )

@@ -6,6 +6,10 @@ float.  d is homogeneous of degree 1 and increasing in every side, so
 its relative change is a weighted mean of the sides' relative changes;
 that input rounding alone moves d by about one ulp.  The rest is the
 solver's own error.
+
+``closing_side`` is judged on its float inputs instead: its c is the
+root of a quadratic whose coefficients are exact in those floats, so
+the test brackets c exactly with no rounded reference.
 """
 
 import math
@@ -13,10 +17,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exact_polygons import chord, random_polygon, random_qs, ulp_error, vertex
 from semichord import (
+    DomainError,
     InscribedPolygon,
+    PlacementError,
+    closing_side,
     diameter_cubic,
     evaluate_general,
     inscribe_from_sides,
@@ -27,13 +36,15 @@ from semichord import (
 )
 
 # Worst errors over seeds 0-9 of each test's draws below (200 polygons
-# with n in 3..64, or 500 quadrilaterals, per seed): 5.87 ulp for
-# solve_diameter, 2.21 ulp for diameter_cubic and 5.0 ulp of d^2 for
+# with n in 3..64, 500 quadrilaterals, or 800 closing-side triples, per
+# seed): 5.87 ulp for solve_diameter, 2.21 ulp for diameter_cubic,
+# 2.68 ulp for closing_side (seed 3) and 5.0 ulp of d^2 for
 # evaluate_general's residual (seeds 1, 5 and 9).  Each bound is about
 # 1.35 to 1.4 times that worst case.
 SOLVE_DIAMETER_ULPS = 8.0
 DIAMETER_CUBIC_ULPS = 3.0
 EVALUATE_GENERAL_ULPS = 7.0
+CLOSING_SIDE_ULPS = 3.7
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 33, 64])
@@ -101,6 +112,102 @@ def test_diameter_cubic_ulp_error(seed):
         sides, d = random_polygon(rng, 3)
         worst = max(worst, ulp_error(diameter_cubic(*map(float, sides)), d))
     assert worst <= DIAMETER_CUBIC_ULPS
+
+
+def _normal_scaling(rng, values):
+    """``values`` times 2^k, |k| <= 1000, with each and half of each normal."""
+    exponents = [math.frexp(v)[1] for v in values]
+    low, high = -1020 - min(exponents), 1023 - max(exponents)
+    k = rng.randint(max(-1000, low), min(1000, high))
+    return [math.ldexp(v, k) for v in values]
+
+
+def _near_diameter_quad(rng):
+    """Exact sides and d of a quadrilateral with one arc within 1e-6 of pi.
+
+    The two short gaps in tan(phi/2) are below 2^-23, so the two small
+    arcs, at most 4 gaps each, sum to under 1e-6; the long one is
+    chord a, b or c at random.
+    """
+    gaps = [Fraction(rng.randrange(1, 2**30), 2**53) for _ in range(2)]
+    gaps.insert(rng.randrange(3), 1 - sum(gaps))
+    qs = [Fraction(0), gaps[0], gaps[0] + gaps[1], Fraction(1)]
+    d = Fraction(rng.randrange(1, 2**30), rng.randrange(1, 2**30))
+    return [chord(qs[k], qs[k + 1], d) for k in range(3)], d
+
+
+def _closing_side_draws(rng, count):
+    """``count`` float (a, b, d): oracle and near-diameter quadrilaterals in turn.
+
+    Each is rounded to floats, and a quarter are scaled by a power of two.
+    """
+    draws = []
+    for i in range(count):
+        sides, d = random_polygon(rng, 3) if i % 2 else _near_diameter_quad(rng)
+        floats = [float(sides[0]), float(sides[1]), float(d)]
+        draws.append(_normal_scaling(rng, floats) if rng.random() < 0.25 else floats)
+    return draws
+
+
+def _overshoots(a, b, d):
+    return Fraction(d) ** 2 < Fraction(a) ** 2 + Fraction(b) ** 2
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_closing_side_ulp_error(seed):
+    # c solves q(c) = c^2 + 2(ab/d) c - (d^2 - a^2 - b^2) = 0, increasing
+    # for c >= 0, so K ulps either side of the root have opposite signs.
+    # Rounding the exact sides can put a near-diameter chord at d, or
+    # overshoot when c is tiny; the float inputs then have no closing side.
+    rng = random.Random(seed)
+    for a, b, d in _closing_side_draws(rng, 800):
+        if _overshoots(a, b, d):
+            error = PlacementError if a < d and b < d else DomainError
+            with pytest.raises(error):
+                closing_side(a, b, d)
+            continue
+        c = closing_side(a, b, d)
+        fa, fb, fd = Fraction(a), Fraction(b), Fraction(d)
+
+        def q(x):
+            return x * x + 2 * fa * fb / fd * x - (fd * fd - fa * fa - fb * fb)
+
+        width = Fraction(CLOSING_SIDE_ULPS) * Fraction(math.ulp(c))
+        assert q(Fraction(c) - width) <= 0 <= q(Fraction(c) + width)
+
+
+lengths = st.floats(min_value=2.0**-20, max_value=2.0**20)
+
+
+@st.composite
+def chords_and_diameters(draw):
+    """(a, b, d), with d within 3 ulps of sqrt(a^2 + b^2) half the time."""
+    a, b = draw(lengths), draw(lengths)
+    if not draw(st.booleans()):
+        return a, b, draw(st.floats(min_value=max(a, b), max_value=2.0**21))
+    d = math.hypot(a, b)
+    steps = draw(st.integers(min_value=-3, max_value=3))
+    for _ in range(abs(steps)):
+        d = math.nextafter(d, math.copysign(math.inf, steps))
+    return a, b, d
+
+
+@given(chords_and_diameters())
+@example((0.6, 0.8, 1.0))
+@example((3.0, 4.0, 5.0))
+@example((2.0118988374651848e-07, 1.129042465856196, 1.129042465856214))
+@settings(max_examples=300, deadline=None)
+def test_closing_side_overshoot_is_decided_exactly(abd):
+    a, b, d = abd
+    if not (a < d and b < d):
+        return  # a domain error, tested in test_quads.py
+    try:
+        c = closing_side(a, b, d)
+    except PlacementError:
+        assert _overshoots(a, b, d)
+    else:
+        assert not _overshoots(a, b, d)
+        assert 0.0 <= c <= d
 
 
 @pytest.mark.parametrize("seed", [0, 1])

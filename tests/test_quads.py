@@ -123,6 +123,26 @@ class TestClosingSide:
         # Arcs of 3 and 4 on diameter 5 meet exactly at the far endpoint.
         assert closing_side(3.0, 4.0, 5.0) == pytest.approx(0.0, abs=1e-12)
 
+    def test_exact_fill_gives_exactly_zero(self):
+        # 3^2 + 4^2 == 5^2 exactly in binary, so nothing is left over.
+        assert closing_side(3.0, 4.0, 5.0) == 0.0
+
+    def test_overshoot_is_decided_exactly_on_the_float_inputs(self):
+        # The binary 0.6 and 0.8 have squares summing to 1 + 4.4e-17.
+        assert Fraction(0.6) ** 2 + Fraction(0.8) ** 2 > 1
+        with pytest.raises(PlacementError) as info:
+            closing_side(0.6, 0.8, 1.0)
+        assert str(info.value) == (
+            "chords 0.6 and 0.8 overshoot the semicircle of diameter 1.0"
+        )
+
+    def test_near_diameter_chord_leaves_a_small_closing_side(self):
+        # d^2 - a^2 - b^2 is positive exactly, though the asin arcs of a
+        # and b overshoot pi by more than 1e-12.
+        a, b, d = 2.0118988374651848e-07, 1.129042465856196, 1.129042465856214
+        assert Fraction(d) ** 2 > Fraction(a) ** 2 + Fraction(b) ** 2
+        assert closing_side(a, b, d) == 3.368928874790194e-10
+
     def test_placement_error_when_chords_overshoot(self):
         with pytest.raises(PlacementError):
             closing_side(4.9, 4.9, 5.0)

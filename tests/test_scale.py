@@ -75,6 +75,15 @@ def test_diameter_cubic_scales_exactly(sides, k):
     assert diameter_cubic(*scaled) == math.ldexp(diameter_cubic(*sides), k)
 
 
+@pytest.mark.parametrize("k", EXPONENTS)
+@pytest.mark.parametrize("sides", [s for s in SIDE_SETS if len(s) == 3])
+def test_closing_side_scales_exactly(sides, k):
+    a, b, _ = sides
+    d = diameter_cubic(*sides)
+    scaled = closing_side(math.ldexp(a, k), math.ldexp(b, k), math.ldexp(d, k))
+    assert scaled == math.ldexp(closing_side(a, b, d), k)
+
+
 def test_solve_large_equal_sides():
     d = solve_diameter([1e300, 1e300]).d
     assert d == pytest.approx(SQRT2 * 1e300, rel=1e-15)
