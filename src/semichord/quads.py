@@ -60,8 +60,11 @@ def diameter_cubic(a: float, b: float, c: float) -> float:
     u0 = sqrt(s + p / sqrt(s)) lies right of it, and the monotone Newton
     descent shared with :func:`~semichord.solver.solve_diameter` falls
     onto the root from there (a u0 that rounding puts just left of the
-    root is returned at once).  Closed-form resolution is avoided on
-    purpose: the three-real-root case needs trigonometric branches.
+    root is returned at once).  The slope 3u^2 - s is convex, so the
+    secant of the last two slopes bounds the second derivative 6u, and
+    the descent returns an iterate unevaluated once that certifies the
+    step after it below half an ulp.  Closed-form resolution is avoided
+    on purpose: the three-real-root case needs trigonometric branches.
     Raises :class:`DomainError` for a side that is not a real number or
     not positive and finite, and when d is not a finite float, as when
     it overflows.

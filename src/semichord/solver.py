@@ -23,8 +23,15 @@ g(t) >= 2 t sum c_i - pi and t* <= pi / (2 sum c_i).  The first bound
 is the tighter one for few uneven sides, the second for many sides.
 Newton's method from t0 falls monotonically onto the root without a
 bracketing phase, taking g's slope only at the iterates it steps from.
-Where a bound is exact, as for two sides, rounding may put t0 just left
-of the root; it is then returned at once, as accurate as that rounding.
+g' is convex too, every derivative of asin being positive, so from the
+second step on the secant of the last two slopes bounds g'' over the
+next step; once that bounds the step after it below half an ulp, the
+next iterate is returned without another asin pass.  Where a bound is
+exact, as for two sides, rounding may put t0 just left of the root; it
+is then returned at once, as accurate as that rounding.  Where sum c_i^2
+rounds to 1, t0 = 1 lies on the long side's vertical tangent: the
+descent steps one ulp off it and goes on from there, unless the value
+there shows t0 the nearer end.
 :func:`solve_diameter` then certifies a bracket around d with
 :func:`arc_sum` itself, evaluated once at d: d is an end on each side
 its arc sum allows, and any other end steps outward from d until the
@@ -36,7 +43,7 @@ the same d from ``_solve`` without the certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asin, fsum, inf, isfinite, pi, sqrt, ulp
+from math import asin, fsum, inf, isfinite, nextafter, pi, sqrt, ulp
 from operator import mul
 
 from .errors import ConvergenceError, DomainError
@@ -64,10 +71,13 @@ class DiameterSolution:
     """Solved diameter with its bracket certificate.
 
     ``arc_sum(bracket_low) >= pi >= arc_sum(bracket_high)`` holds as
-    :func:`arc_sum` computes it.  ``iterations`` counts Newton steps, and
+    :func:`arc_sum` computes it.  ``iterations`` counts Newton steps.
     ``arc_sum_residual`` is the arc-sum error at the final iterate, taken
     on the sides divided by the largest one, so it does not depend on
-    the sides' scale.
+    the sides' scale: its computed magnitude where the descent evaluated
+    that iterate, or, where it stopped on a certified step, the bound
+    M * step^2 / 2 on the exact error the last step leaves (see
+    ``_newton_descent``), far below the rounding of an evaluation.
     """
 
     d: float
@@ -120,20 +130,35 @@ def _newton_descent(value, slope, x: float, floor: float) -> tuple[float, float,
     """Root of an increasing convex function by Newton's method from ``x``.
 
     ``x`` must lie right of the root and ``floor`` left of it; ``value``
-    and ``slope`` return the function and its derivative.  On an
-    increasing convex function a Newton step from the right never
-    crosses the root, so the iterates fall monotonically onto it
-    (safeguarded Newton as in Press et al., Numerical Recipes, section
-    9.4, with convexity as the safeguard).  Stops at the first iterate
+    and ``slope`` return the function and its derivative, and the
+    derivative must be convex too.  On an increasing convex function a
+    Newton step from the right never crosses the root, so the iterates
+    fall monotonically onto it (safeguarded Newton as in Press et al.,
+    Numerical Recipes, section 9.4, with convexity as the safeguard).
+
+    From the second step on, the secant M of the last two slopes bounds
+    the second derivative over the next step Delta, since the slope is
+    convex.  So the exact value at the next iterate exceeds the tangent
+    line's, 0 but for the step's rounding, by at most M Delta^2 / 2, and
+    the slope there is at least s - M Delta, s the current slope.  When
+    the step after it, at most M Delta^2 / (2 (s - M Delta)), is below
+    half an ulp, the next iterate is returned without evaluating the
+    function there.  Otherwise the descent stops at the first iterate
     whose value is no longer positive, or when a step no longer moves x
-    down: rounding at the root, or an infinite slope.  ``slope`` is
-    called only at an iterate of positive value, where a step is taken.
-    Returns the iterate, its value and the step count.
+    down, at the root's rounding.  At an infinite slope, a vertical
+    tangent, it steps one ulp toward ``floor``; if the value there is
+    not positive, it keeps whichever end's value is nearer 0.
+
+    ``slope`` is called only at an iterate of positive value, where a
+    step is taken.  Returns the iterate, its value (the bound
+    M Delta^2 / 2 when it stops on the certified step) and the step
+    count.
     """
     fx = value(x)
     steps = 0
     while fx > 0.0:
-        nxt = x - fx / slope(x)
+        s = slope(x)
+        nxt = nextafter(x, floor) if s == inf else x - fx / s
         if not nxt < x:
             break
         if steps == MAX_ITERATIONS:
@@ -144,8 +169,20 @@ def _newton_descent(value, slope, x: float, floor: float) -> tuple[float, float,
                 x,
             )
         steps += 1
-        x = nxt
-        fx = value(x)
+        if steps > 1:
+            step = x - nxt
+            curve = (s_before - s) / (x_before - x)
+            bound = 0.5 * curve * step * step
+            reach = s - curve * step
+            if curve >= 0.0 and reach > 0.0 and bound < 0.5 * ulp(nxt) * reach:
+                return nxt, bound, steps
+        # Two floats, not a tuple: the descent allocates no container.
+        x_before, s_before = x, s
+        fnxt = value(nxt)
+        if s == inf and -fnxt >= fx:
+            # Off the tangent the value fell past 0 by at least x's excess.
+            return x, fx, steps - 1
+        x, fx = nxt, fnxt
     return x, fx, steps
 
 

@@ -15,6 +15,7 @@ the test brackets c exactly with no rounded reference.
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,14 +35,17 @@ from semichord import (
     rhs_quadrilateral,
     solve_diameter,
 )
+from semichord import quads
+from semichord.solver import _newton_descent
 
 # Worst errors over seeds 0-9 of each test's draws below (200 polygons
 # with n in 3..64, 500 quadrilaterals, or 800 closing-side triples, per
-# seed): 5.87 ulp for solve_diameter, 2.21 ulp for diameter_cubic,
-# 2.68 ulp for closing_side (seed 3) and 5.0 ulp of d^2 for
-# evaluate_general's residual (seeds 1, 5 and 9).  Each bound is about
-# 1.35 to 1.4 times that worst case.
-SOLVE_DIAMETER_ULPS = 8.0
+# seed): 5.40 ulp for solve_diameter (1.18 on the near-diameter polygons
+# with many tiny sides), 2.46 ulp for diameter_cubic, 2.68 ulp for
+# closing_side (seed 3) and 5.0 ulp of d^2 for evaluate_general's
+# residual (seeds 1, 5 and 9).  Each bound is about 1.2 to 1.4 times
+# that worst case.
+SOLVE_DIAMETER_ULPS = 7.5
 DIAMETER_CUBIC_ULPS = 3.0
 EVALUATE_GENERAL_ULPS = 7.0
 CLOSING_SIDE_ULPS = 3.7
@@ -104,6 +108,40 @@ def test_solve_diameter_ulp_error(seed):
     assert worst <= SOLVE_DIAMETER_ULPS
 
 
+def _tiny_sides_polygon(rng):
+    """Exact sides and d: one side near d and 56 to 63 tiny ones.
+
+    Each tiny side's ratio to the long one is 0.9 to 1 times
+    sqrt(0.9e-16 / k) for k tiny sides, so the squared ratios sum to
+    under half an ulp of 1 and the solver starts at t0 = 1, on the long
+    side's vertical tangent.  Yet d exceeds the long side by about
+    (sum of ratios)^2 / 2, over 9 ulps.  The long side goes anywhere.
+    """
+    k = rng.randint(56, 63)
+    gap = Fraction(math.sqrt(0.9e-16 / k) / 2)
+    qs = [Fraction(0)]
+    for _ in range(k):
+        qs.append(qs[-1] + gap * Fraction(rng.randrange(900, 1000), 1000))
+    qs.append(Fraction(1))
+    d = Fraction(rng.randrange(1, 2**30), rng.randrange(1, 2**30))
+    sides = [chord(qs[i], qs[i + 1], d) for i in range(k + 1)]
+    sides.insert(rng.randrange(k + 1), sides.pop())
+    return sides, d
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_solve_diameter_ulp_error_from_the_vertical_tangent(seed):
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(50):
+        sides, d = _tiny_sides_polygon(rng)
+        floats = [float(s) for s in sides]
+        longest = max(floats)
+        assert math.fsum([(a / longest) ** 2 for a in floats]) == 1.0
+        worst = max(worst, ulp_error(solve_diameter(floats).d, d))
+    assert worst <= SOLVE_DIAMETER_ULPS
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_diameter_cubic_ulp_error(seed):
     rng = random.Random(seed)
@@ -112,6 +150,62 @@ def test_diameter_cubic_ulp_error(seed):
         sides, d = random_polygon(rng, 3)
         worst = max(worst, ulp_error(diameter_cubic(*map(float, sides)), d))
     assert worst <= DIAMETER_CUBIC_ULPS
+
+
+cubic_sides = st.one_of(
+    st.tuples(*[st.floats(min_value=2.0**-30, max_value=2.0**30)] * 3),
+    st.tuples(st.just(1.0), *[st.floats(min_value=2.0**-60, max_value=1.0)] * 2),
+)
+
+
+@given(cubic_sides)
+@example((3.0, 4.0, 5.0))
+@settings(max_examples=300, deadline=None)
+def test_diameter_cubic_certified_stop_holds_exactly(abc):
+    # Where the descent returns an iterate u it never evaluated, take x,
+    # the iterate it stepped from, and y = x - f(x)/f'(x), the exact
+    # Newton iterate.  The secant M of the exact slopes at the last two
+    # iterates bounds f'' on [y, x], so 0 <= f(y) <= M (x - y)^2 / 2; the
+    # certificate is that the exact step from y is below half an ulp of
+    # u.  u itself is y rounded through the float value and step, as at
+    # any iterate, so f(u) can fall either side of 0 by that rounding.
+    found = {}
+
+    def descent(value, slope, x, floor):
+        values, slopes = [], []
+        u, fu, steps = _newton_descent(
+            lambda t: values.append(t) or value(t),
+            lambda t: slopes.append(t) or slope(t),
+            x,
+            floor,
+        )
+        # At 0 the passes are exactly -p and -s.
+        found.update(u=u, fu=fu, unevaluated=len(values) == steps, slopes=slopes,
+                     s=-slope(0.0), p=-value(0.0))
+        return u, fu, steps
+
+    with mock.patch.object(quads, "_newton_descent", descent):
+        diameter_cubic(*abc)
+    if abc == (3.0, 4.0, 5.0):
+        assert found["unevaluated"]
+    if not found["unevaluated"]:
+        return
+    s, p = Fraction(found["s"]), Fraction(found["p"])
+
+    def f(t):
+        return (t * t - s) * t - p
+
+    def f_slope(t):
+        return 3 * t * t - s
+
+    x_before, x = map(Fraction, found["slopes"][-2:])
+    secant = (f_slope(x_before) - f_slope(x)) / (x_before - x)
+    y = x - f(x) / f_slope(x)
+    assert 0 <= f(y) <= secant * (x - y) ** 2 / 2
+    u, ulp = Fraction(found["u"]), Fraction(math.ulp(found["u"]))
+    assert f(y) / f_slope(y) < ulp / 2
+    assert abs(u - y) <= ulp
+    assert found["fu"] >= 0.0
 
 
 def _normal_scaling(rng, values):

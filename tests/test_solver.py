@@ -1,11 +1,13 @@
 """Tests for diameter recovery from side lengths."""
 
+import importlib.util
 import math
 import struct
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semichord import (
@@ -112,16 +114,19 @@ class TestSolveDiameter:
     @pytest.mark.parametrize(
         "sides, pinned",
         [
-            # The low end steps: the arc sum at d is just below pi.
+            # The descent stops on its prediction, so the residual is the
+            # bound on the exact value there.  The high end steps: the arc
+            # sum at d is just above pi.
             (
                 [2, 2, 2],
-                ("0x1.0000000000001p+2", "0x1.0000000000000p+2",
-                 "0x1.0000000000001p+2", 5, "0x0.0p+0"),
+                ("0x1.ffffffffffffep+1", "0x1.ffffffffffffep+1",
+                 "0x1.0000000000001p+2", 3, "0x1.a8d62267b8888p-52"),
             ),
+            # The low end steps: the arc sum at d is just below pi.
             (
                 [1, 1, 1, 1, 1, 1],
                 ("0x1.ee8dd4748bf16p+1", "0x1.ee8dd4748bf14p+1",
-                 "0x1.ee8dd4748bf16p+1", 3, "0x1.0000000000000p-51"),
+                 "0x1.ee8dd4748bf16p+1", 3, "0x1.8724e26654855p-84"),
             ),
             # The high end steps, one subnormal ulp.
             (
@@ -231,9 +236,10 @@ class TestNewtonStart:
 
     def test_descent_that_never_settles_raises_with_its_bracket(self):
         # A constant positive value with a huge slope moves x down by 1e-10
-        # a step, so the descent runs into the step cap.
+        # a step, so the descent runs into the step cap.  The slope rises
+        # as x falls, so its secant is negative and certifies no stop.
         with pytest.raises(ConvergenceError) as info:
-            _newton_descent(lambda x: 1.0, lambda x: 1e10, 1.0, 0.0)
+            _newton_descent(lambda x: 1.0, lambda x: 1e10 * (2.0 - x), 1.0, 0.0)
         assert info.value.code == "no_convergence"
         assert info.value.bracket_low == 0.0
         assert info.value.bracket_high < 1.0
@@ -245,8 +251,9 @@ class TestNewtonStart:
             (lambda x: x - 1.0, 1.0, 3.0, (1.0, 0.0, 1), 1),
             # The value stays positive at 1, where the step is below an ulp.
             (lambda x: max(x - 1.0, 1e-300), 1.0, 3.0, (1.0, 1e-300, 1), 2),
-            # An infinite slope gives a zero step, so no step is taken.
-            (lambda x: 1.0, math.inf, 2.0, (2.0, 1.0, 0), 1),
+            # An infinite slope steps one ulp toward the floor; the value
+            # there is farther below 0 than x's is above it, so x is kept.
+            (lambda x: 1.0 if x == 2.0 else -2.0, math.inf, 2.0, (2.0, 1.0, 0), 1),
         ],
     )
     def test_slope_is_taken_only_where_a_step_is_tried(
@@ -264,12 +271,31 @@ class TestNewtonStart:
         assert len(calls) == (steps if fx <= 0.0 else steps + 1) == slope_calls
         assert all(value(at) > 0.0 for at in calls)
 
+    def test_certified_step_is_returned_unevaluated(self):
+        # x^2 - 2 from 2: the fifth step is certified below half an ulp, so
+        # its iterate, sqrt(2) to the last bit, is never evaluated, and the
+        # value returned is the bound M * step^2 / 2 with M = 2.
+        calls = []
+
+        def value(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        x, fx, steps = _newton_descent(value, lambda x: 2.0 * x, 2.0, 1.0)
+        assert x == math.sqrt(2.0) and steps == 5
+        assert len(calls) == steps and x not in calls
+        assert fx == (calls[-1] - x) ** 2
+
     @given(
         ratios=st.lists(
             st.floats(min_value=2.0**-10, max_value=1.0), min_size=2, max_size=64
         ),
         k=st.integers(min_value=-1000, max_value=1000),
     )
+    # Starts on the long side's vertical tangent, t0 = 1.
+    @example(ratios=[1.0, 1e-9], k=0)
+    @example(ratios=[1.0, 1e-8], k=0)
+    @example(ratios=[1.0] + [1.3e-9] * 60, k=0)
     @settings(max_examples=200, deadline=None)
     def test_matches_the_fused_descent_bit_for_bit(self, ratios, k):
         sides = [math.ldexp(c, k) for c in ratios]
@@ -279,8 +305,11 @@ class TestNewtonStart:
 def _fused_solve(sides):
     """solve_diameter with value and slope in one closure, stepping as before.
 
-    Evaluates the slope at every iterate, the last one included; the
-    solver must agree with it bit for bit.
+    Evaluates the slope at every iterate it evaluates, the last one
+    included, and takes the same stopping rules: a step whose next step
+    the secant of the last two slopes certifies below half an ulp ends
+    the descent unevaluated, and an infinite slope steps one ulp down.
+    The solver must agree with it bit for bit.
     """
     sides = tuple(sides)
     m = max(sides)
@@ -301,13 +330,30 @@ def _fused_solve(sides):
     )
     value, slope = g(t)
     steps = 0
+    previous = None
     while value > 0.0:
-        nxt = t - value / slope
+        if slope == math.inf:
+            nxt = math.nextafter(t, 0.0)
+        else:
+            nxt = t - value / slope
         if not nxt < t:
             break
         steps += 1
-        t = nxt
-        value, slope = g(t)
+        delta = t - nxt
+        if previous is not None:
+            t_before, slope_before = previous
+            secant = (slope_before - slope) / (t_before - t)
+            bound = 0.5 * secant * delta * delta
+            if secant >= 0.0 and slope - secant * delta > 0.0:
+                if bound < 0.5 * math.ulp(nxt) * (slope - secant * delta):
+                    t, value = nxt, bound
+                    break
+        previous = t, slope
+        next_value, next_slope = g(nxt)
+        if slope == math.inf and next_value <= -value:
+            steps -= 1
+            break
+        t, value, slope = nxt, next_value, next_slope
     d = m / t
     excess = arc_sum(d, sides) - math.pi
     return DiameterSolution(
@@ -603,12 +649,61 @@ class TestLoopsMatchTheirReference:
 
     def test_vertical_tangent_ends_the_descent(self):
         # t0 is 1, where c*t == 1 for the long side: the slope there is
-        # infinite, so the descent stops at once, its residual the short
-        # side's excess of 2e-9.
+        # infinite, so the descent steps one ulp down.  The residual there,
+        # about -2.8e-8, is farther from 0 than the short side's excess of
+        # 2e-9 at t0, so t0 is kept after 0 steps.
         _, d, residual, steps = solver._solve([1.0, 1e-9])
         assert (d, steps) == (1.0, 0)
         assert residual == pytest.approx(2e-9, rel=1e-6)
         self._check([1.0, 1e-9])
+
+    @pytest.mark.parametrize("short, count", [(1.3e-9, 60), (1e-9, 50), (3e-9, 10)])
+    def test_descent_steps_off_the_vertical_tangent(self, short, count):
+        # sum(c^2) rounds to 1, so t0 = 1 on the long side's vertical
+        # tangent, yet d exceeds 1 by several ulps.  The float reference
+        # d = 1 / cos(count * asin(short / d)) is iterated from d = 1.
+        sides = [1.0] + [short] * count
+        reference = 1.0
+        for _ in range(5):
+            reference = 1.0 / math.cos(count * math.asin(short / reference))
+        assert reference > 1.0
+        _, d, _, steps = solver._solve(sides)
+        assert steps > 0
+        assert abs(d - reference) <= math.ulp(reference)
+        self._check(sides)
+
+
+def _solve_wide_pools():
+    """The 1600 inputs of a one-second seed-1 ``solve_wide`` run, rounds 0-7."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [x[2] for r in range(8) for x in workloads.SolveWide().make_pool(1, r)]
+
+
+def test_passes_per_solve_on_the_solve_wide_inputs():
+    # The Newton-step inputs of CI, counted by patching _newton_descent.
+    # Before the certified stop and the vertical-tangent step these read
+    # 5909 value passes, 4469 slope passes and 4309 steps.
+    counts = [0, 0]
+
+    def descent(value, slope, x, floor):
+        def counted_value(t):
+            counts[0] += 1
+            return value(t)
+
+        def counted_slope(t):
+            counts[1] += 1
+            return slope(t)
+
+        return _newton_descent(counted_value, counted_slope, x, floor)
+
+    inputs = _solve_wide_pools()
+    with mock.patch.object(solver, "_newton_descent", descent):
+        steps = sum(solver._solve(sides)[3] for sides in inputs)
+    assert len(inputs) == 1600
+    assert (counts[0], counts[1], steps) == (3946, 3908, 3873)
 
 
 def _outcome(build, *args):
