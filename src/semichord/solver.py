@@ -29,9 +29,19 @@ next step; once that bounds the step after it below half an ulp, the
 next iterate is returned without another asin pass.  Where a bound is
 exact, as for two sides, rounding may put t0 just left of the root; it
 is then returned at once, as accurate as that rounding.  Where sum c_i^2
-rounds to 1, t0 = 1 lies on the long side's vertical tangent: the
-descent steps one ulp off it and goes on from there, unless the value
-there shows t0 the nearer end.
+rounds to 1, t0 = 1 lies on the long side's vertical tangent, where g'
+is infinite; there the relation itself gives d in closed form.  The long
+side's arc fills what the others leave of the half turn, asin(m/d) =
+pi/2 - theta with theta = sum asin(a_i/d) over the other sides, so m/d =
+cos theta and
+
+    d = m + m * 2 sin^2(theta/2) / cos theta,
+
+the excess over m written without cancellation.  theta is taken on m
+rather than d, sum asin(c_i) over the ratios c_i < 1; that leaves a
+relative error of about theta^4 / 2 in d, below 2^-62 for any list
+under a million sides, since their squared ratios sum to a few ulps.
+Every descent thus starts at t0 < 1, where c_i t < 1 and g' is finite.
 :func:`solve_diameter` then certifies a bracket around d with
 :func:`arc_sum` itself, evaluated once at d: d is an end on each side
 its arc sum allows, and any other end steps outward from d until the
@@ -43,8 +53,9 @@ the same d from ``_solve`` without the certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asin, fsum, inf, isfinite, nextafter, pi, sqrt, ulp
+from math import asin, cos, fsum, inf, isfinite, pi, sin, sqrt, ulp
 from operator import mul
+from sys import float_info
 
 from .errors import ConvergenceError, DomainError
 from .geometry import (
@@ -77,7 +88,10 @@ class DiameterSolution:
     the sides' scale: its computed magnitude where the descent evaluated
     that iterate, or, where it stopped on a certified step, the bound
     M * step^2 / 2 on the exact error the last step leaves (see
-    ``_newton_descent``), far below the rounding of an evaluation.
+    ``_newton_descent``), far below the rounding of an evaluation.  Where
+    d comes from the closed form at the vertical tangent (see the module
+    docstring), ``iterations`` is 0 and the residual is the computed one
+    at m / d.
     """
 
     d: float
@@ -145,9 +159,7 @@ def _newton_descent(value, slope, x: float, floor: float) -> tuple[float, float,
     half an ulp, the next iterate is returned without evaluating the
     function there.  Otherwise the descent stops at the first iterate
     whose value is no longer positive, or when a step no longer moves x
-    down, at the root's rounding.  At an infinite slope, a vertical
-    tangent, it steps one ulp toward ``floor``; if the value there is
-    not positive, it keeps whichever end's value is nearer 0.
+    down: at the root's rounding, or at an infinite slope.
 
     ``slope`` is called only at an iterate of positive value, where a
     step is taken.  Returns the iterate, its value (the bound
@@ -158,7 +170,7 @@ def _newton_descent(value, slope, x: float, floor: float) -> tuple[float, float,
     steps = 0
     while fx > 0.0:
         s = slope(x)
-        nxt = nextafter(x, floor) if s == inf else x - fx / s
+        nxt = x - fx / s
         if not nxt < x:
             break
         if steps == MAX_ITERATIONS:
@@ -178,11 +190,7 @@ def _newton_descent(value, slope, x: float, floor: float) -> tuple[float, float,
                 return nxt, bound, steps
         # Two floats, not a tuple: the descent allocates no container.
         x_before, s_before = x, s
-        fnxt = value(nxt)
-        if s == inf and -fnxt >= fx:
-            # Off the tangent the value fell past 0 by at least x's excess.
-            return x, fx, steps - 1
-        x, fx = nxt, fnxt
+        x, fx = nxt, value(nxt)
     return x, fx, steps
 
 
@@ -192,14 +200,18 @@ def _bracket_end(sides: tuple[float, ...], d: float, sign: float) -> float:
     Below d the end has an arc sum of at least pi, above d at most pi.
     The caller has found that d itself is not an end; the steps double
     from one ulp.  Downward steps stop at the largest side, where the
-    arc sum is at least pi.
+    arc sum is at least pi, and upward steps at the largest finite
+    float; if the arc sum there still exceeds pi, the sides have no
+    finite diameter, and ``_finite`` raises.
     """
     floor = max(sides)
     step = ulp(d)
     while True:
-        end = max(d + sign * step, floor)
+        end = min(max(d + sign * step, floor), float_info.max)
         if sign * (arc_sum(end, sides) - pi) <= 0.0:
             return end
+        if end == float_info.max:
+            _finite(sides, inf)  # raises: no finite end brings the arc sum to pi
         step *= 2.0
 
 
@@ -235,6 +247,9 @@ def _finite(sides: tuple[float, ...], d: float) -> float:
 def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
     """Diameter of the sides by monotone Newton, without a certificate.
 
+    At the vertical tangent, t0 = 1, d comes from the closed form of the
+    module docstring instead, after 0 steps.
+
     Returns the sides as the float tuple it checked, d, the final
     normalised arc-sum residual and the Newton step count.  Raises as
     :func:`solve_diameter` does.
@@ -248,19 +263,19 @@ def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
         return 2.0 * total - pi
 
     def g_slope(t: float) -> float:
-        # c <= 1 and t <= t0 <= 1, so c*t never exceeds 1 and the product
-        # below is never negative.  It is 0 only where c*t == 1 exactly: a
-        # side equal to d, whose infinite slope ends the descent.
+        # c <= 1 and t <= t0 < 1, so c*t < 1 and the product below is positive.
         slope = 0.0
-        try:
-            for c in ratios:
-                x = c * t
-                slope += c / sqrt((1.0 - x) * (1.0 + x))
-        except ZeroDivisionError:
-            return inf
+        for c in ratios:
+            x = c * t
+            slope += c / sqrt((1.0 - x) * (1.0 + x))
         return 2.0 * slope
 
     t0 = min(1.0 / sqrt(fsum(map(mul, ratios, ratios))), 0.5 * pi / ratio_sum)
+    if t0 == 1.0:
+        # The vertical tangent: d in closed form (see the module docstring).
+        theta = fsum(asin(c) for c in ratios if c < 1.0)
+        d = _finite(sides, m + m * (2.0 * sin(0.5 * theta) ** 2 / cos(theta)))
+        return sides, d, g(m / d), 0
     t, residual, steps = _newton_descent(g, g_slope, t0, 1.0 / ratio_sum)
     return sides, _finite(sides, m / t), residual, steps
 
@@ -270,10 +285,11 @@ def solve_diameter(sides) -> DiameterSolution:
 
     Monotone Newton on t = max(sides) / d from the smaller of two upper
     bounds on the root, max(sides) / sqrt(sum(a^2)) and
-    pi * max(sides) / (2 sum(a)) (see the module docstring), then the
-    bracket is certified around d.  Raises :class:`DomainError` for a
-    side that is not positive and finite, and when the diameter is not a
-    finite float, as when it overflows.
+    pi * max(sides) / (2 sum(a)) (see the module docstring), or in closed
+    form where that start is t = 1, then the bracket is certified around
+    d.  Raises :class:`DomainError` for a side that is not positive and
+    finite, and when the diameter or a bracket end is not a finite
+    float, as when it overflows.
     """
     sides, d, residual, steps = _solve(sides)
     excess = arc_sum(d, sides) - pi

@@ -129,6 +129,16 @@ def test_overflowing_diameter_is_a_domain_error():
         assert str(info.value) == f"sides {tuple(sides)!r} have no finite diameter"
 
 
+def test_overflowing_bracket_end_is_a_domain_error():
+    # d rounds to the largest float, where the arc sum still exceeds pi,
+    # so no finite float is a high end.  The upward steps stop there and
+    # raise through solver._finite, not through arc_sum's diameter check.
+    sides = [1.7976931348623157e308, 1e300]
+    with pytest.raises(DomainError) as info:
+        solve_diameter(sides)
+    assert str(info.value) == f"sides {tuple(sides)!r} have no finite diameter"
+
+
 @given(
     sides=st.lists(st.floats(min_value=1e-2, max_value=1e2), min_size=2, max_size=64)
 )

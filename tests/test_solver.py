@@ -3,11 +3,12 @@
 import importlib.util
 import math
 import struct
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semichord import (
@@ -251,9 +252,6 @@ class TestNewtonStart:
             (lambda x: x - 1.0, 1.0, 3.0, (1.0, 0.0, 1), 1),
             # The value stays positive at 1, where the step is below an ulp.
             (lambda x: max(x - 1.0, 1e-300), 1.0, 3.0, (1.0, 1e-300, 1), 2),
-            # An infinite slope steps one ulp toward the floor; the value
-            # there is farther below 0 than x's is above it, so x is kept.
-            (lambda x: 1.0 if x == 2.0 else -2.0, math.inf, 2.0, (2.0, 1.0, 0), 1),
         ],
     )
     def test_slope_is_taken_only_where_a_step_is_tried(
@@ -302,14 +300,20 @@ class TestNewtonStart:
         assert solve_diameter(sides) == _fused_solve(sides)
 
 
+def _tangent_closed_form(m, ratios):
+    """d = m / cos(theta) at t0 = 1, theta the other sides' arcs on m, written out."""
+    theta = math.fsum([math.asin(c) for c in ratios if c < 1.0])
+    return m + m * (2.0 * math.sin(0.5 * theta) ** 2 / math.cos(theta))
+
+
 def _fused_solve(sides):
     """solve_diameter with value and slope in one closure, stepping as before.
 
     Evaluates the slope at every iterate it evaluates, the last one
-    included, and takes the same stopping rules: a step whose next step
+    included, and takes the same stopping rule: a step whose next step
     the secant of the last two slopes certifies below half an ulp ends
-    the descent unevaluated, and an infinite slope steps one ulp down.
-    The solver must agree with it bit for bit.
+    the descent unevaluated.  At t0 = 1 it takes the closed form instead,
+    with no step.  The solver must agree with it bit for bit.
     """
     sides = tuple(sides)
     m = max(sides)
@@ -328,33 +332,30 @@ def _fused_solve(sides):
     t = min(
         1.0 / math.sqrt(math.fsum(c * c for c in ratios)), 0.5 * math.pi / ratio_sum
     )
-    value, slope = g(t)
     steps = 0
-    previous = None
-    while value > 0.0:
-        if slope == math.inf:
-            nxt = math.nextafter(t, 0.0)
-        else:
+    if t == 1.0:
+        d = _tangent_closed_form(m, ratios)
+        value = g(m / d)[0]
+    else:
+        value, slope = g(t)
+        previous = None
+        while value > 0.0:
             nxt = t - value / slope
-        if not nxt < t:
-            break
-        steps += 1
-        delta = t - nxt
-        if previous is not None:
-            t_before, slope_before = previous
-            secant = (slope_before - slope) / (t_before - t)
-            bound = 0.5 * secant * delta * delta
-            if secant >= 0.0 and slope - secant * delta > 0.0:
-                if bound < 0.5 * math.ulp(nxt) * (slope - secant * delta):
-                    t, value = nxt, bound
-                    break
-        previous = t, slope
-        next_value, next_slope = g(nxt)
-        if slope == math.inf and next_value <= -value:
-            steps -= 1
-            break
-        t, value, slope = nxt, next_value, next_slope
-    d = m / t
+            if not nxt < t:
+                break
+            steps += 1
+            delta = t - nxt
+            if previous is not None:
+                t_before, slope_before = previous
+                secant = (slope_before - slope) / (t_before - t)
+                bound = 0.5 * secant * delta * delta
+                if secant >= 0.0 and slope - secant * delta > 0.0:
+                    if bound < 0.5 * math.ulp(nxt) * (slope - secant * delta):
+                        t, value = nxt, bound
+                        break
+            previous = t, slope
+            t, (value, slope) = nxt, g(nxt)
+        d = m / t
     excess = arc_sum(d, sides) - math.pi
     return DiameterSolution(
         d=d,
@@ -544,8 +545,8 @@ class TestInscribeSkipsTheCertificate:
 def _reference_passes(sides):
     """``_solve``'s value pass, slope pass, t0 and floor, written out.
 
-    The loops call ``math.`` functions, the slope branches on ``gap`` and
-    Σc² is summed over a list; the solver must match them bit for bit.
+    The loops call ``math.`` functions and Σc² is summed over a list; the
+    solver must match them bit for bit.
     """
     m = max(sides)
     ratios = [a / m for a in sides]
@@ -561,8 +562,7 @@ def _reference_passes(sides):
         slope = 0.0
         for c in ratios:
             x = c * t
-            gap = (1.0 - x) * (1.0 + x)
-            slope += c / math.sqrt(gap) if gap > 0.0 else math.inf
+            slope += c / math.sqrt((1.0 - x) * (1.0 + x))
         return 2.0 * slope
 
     t0 = min(
@@ -573,8 +573,13 @@ def _reference_passes(sides):
 
 def _reference_solve(sides):
     sides = tuple(map(float, sides))
-    t, residual, steps = _newton_descent(*_reference_passes(sides))
-    return sides, max(sides) / t, residual, steps
+    m = max(sides)
+    value, slope, t0, floor = _reference_passes(sides)
+    if t0 == 1.0:
+        d = _tangent_closed_form(m, [a / m for a in sides])
+        return sides, d, value(m / d), 0
+    t, residual, steps = _newton_descent(value, slope, t0, floor)
+    return sides, m / t, residual, steps
 
 
 def _reference_arc_sum(d, sides):
@@ -622,13 +627,15 @@ class TestLoopsMatchTheirReference:
         ref_sides, ref_d, ref_residual, ref_steps = _reference_solve(sides)
         assert _bits(*got_sides, d, residual) == _bits(*ref_sides, ref_d, ref_residual)
         assert steps == ref_steps
-        # Each pass on its own, at the start, the root and between them.
-        (value, slope, t0, floor), = passes
+        # Each pass on its own, at the start, the root and between them.  At
+        # t0 = 1 d comes in closed form, with no descent to check.
         ref_value, ref_slope, ref_t0, ref_floor = _reference_passes(ref_sides)
-        assert _bits(t0, floor) == _bits(ref_t0, ref_floor)
-        root = max(sides) / d
-        for t in (t0, root, 0.5 * (t0 + root)):
-            assert _bits(value(t), slope(t)) == _bits(ref_value(t), ref_slope(t))
+        assert len(passes) == (0 if ref_t0 == 1.0 else 1)
+        for value, slope, t0, floor in passes:
+            assert _bits(t0, floor) == _bits(ref_t0, ref_floor)
+            root = max(sides) / d
+            for t in (t0, root, 0.5 * (t0 + root)):
+                assert _bits(value(t), slope(t)) == _bits(ref_value(t), ref_slope(t))
         ref_arcs, ref_pts = _reference_vertices(sides)
         assert _bits(*arcs_from_sides(sides, d)) == _bits(*ref_arcs)
         for at in (d, max(sides)):
@@ -647,18 +654,21 @@ class TestLoopsMatchTheirReference:
         assert solver._solve([3.0, 4.0])[1:] == (5.0, 0.0, 1)
         self._check([3.0, 4.0])
 
-    def test_vertical_tangent_ends_the_descent(self):
-        # t0 is 1, where c*t == 1 for the long side: the slope there is
-        # infinite, so the descent steps one ulp down.  The residual there,
-        # about -2.8e-8, is farther from 0 than the short side's excess of
-        # 2e-9 at t0, so t0 is kept after 0 steps.
+    def test_vertical_tangent_is_solved_without_a_descent(self):
+        # t0 is 1, where c*t == 1 for the long side and the slope is
+        # infinite.  The closed form gives d = 1 + 5e-19, which rounds to
+        # 1, after 0 steps; the residual is the short side's excess there.
         _, d, residual, steps = solver._solve([1.0, 1e-9])
         assert (d, steps) == (1.0, 0)
         assert residual == pytest.approx(2e-9, rel=1e-6)
         self._check([1.0, 1e-9])
+        # The root 1 + 5e-17 rounds to 1, not to 1 + 2.2e-16.
+        assert solve_diameter([1.0, 1e-8]).d == 1.0
 
     @pytest.mark.parametrize("short, count", [(1.3e-9, 60), (1e-9, 50), (3e-9, 10)])
-    def test_descent_steps_off_the_vertical_tangent(self, short, count):
+    def test_vertical_tangent_closed_form_matches_the_float_reference(
+        self, short, count
+    ):
         # sum(c^2) rounds to 1, so t0 = 1 on the long side's vertical
         # tangent, yet d exceeds 1 by several ulps.  The float reference
         # d = 1 / cos(count * asin(short / d)) is iterated from d = 1.
@@ -668,9 +678,61 @@ class TestLoopsMatchTheirReference:
             reference = 1.0 / math.cos(count * math.asin(short / reference))
         assert reference > 1.0
         _, d, _, steps = solver._solve(sides)
-        assert steps > 0
+        assert steps == 0
         assert abs(d - reference) <= math.ulp(reference)
         self._check(sides)
+
+
+def _within_half_an_ulp_of_the_hypotenuse(d, m, s):
+    """|d - sqrt(m^2 + s^2)| <= 0.501 of the gap to d's neighbour on its side.
+
+    Decided exactly, by squaring both ends of the interval in ``Fraction``s.
+    """
+    exact, at = Fraction(m) ** 2 + Fraction(s) ** 2, Fraction(d)
+    low = at - Fraction(501, 1000) * (at - Fraction(math.nextafter(d, 0.0)))
+    high = at + Fraction(501, 1000) * (Fraction(math.nextafter(d, math.inf)) - at)
+    return low * low <= exact <= high * high
+
+
+class TestVerticalTangent:
+    @given(
+        mantissa=st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+        k=st.integers(min_value=-1000, max_value=999),
+        ratio=st.floats(min_value=2.0**-60, max_value=2e-8),
+        flip=st.booleans(),
+    )
+    @example(mantissa=1.0, k=0, ratio=1e-8, flip=False)
+    @settings(max_examples=300, deadline=None)
+    def test_two_sides_give_the_thales_hypotenuse(self, mantissa, k, ratio, flip):
+        # Two sides [m, s] span a right triangle on the diameter, so
+        # d^2 = m^2 + s^2 exactly.  At t0 = 1 the closed form must round
+        # that root correctly, with a thousandth of an ulp to spare.
+        m = math.ldexp(mantissa, k)
+        s = m * ratio
+        sides = [s, m] if flip else [m, s]
+        assume(s > 0.0 and _reference_passes(tuple(sides))[2] == 1.0)
+        solution = solve_diameter(sides)
+        assert solution.iterations == 0
+        assert _within_half_an_ulp_of_the_hypotenuse(solution.d, m, s)
+
+    @given(
+        j=st.integers(min_value=1, max_value=8),
+        weights=st.lists(
+            st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=63
+        ),
+        k=st.integers(min_value=-1000, max_value=1000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_starts_just_below_the_tangent_keep_the_slope_finite(self, j, weights, k):
+        # The squared ratios sum to about 1 + j * 2^-52, so t0 lies a few
+        # ulps below 1, or at 1 where the closed form takes over.  The
+        # descent then has c*t < 1 for every ratio, so no slope divides
+        # by 0, and d is at least the longest side.
+        total = math.fsum(weights)
+        ratios = [1.0] + [math.sqrt(j * 2.0**-52 * w / total) for w in weights]
+        sides = [math.ldexp(c, k) for c in ratios]
+        _, d, _, _ = solver._solve(sides)
+        assert d >= max(sides)
 
 
 def _solve_wide_pools():
@@ -684,8 +746,8 @@ def _solve_wide_pools():
 
 def test_passes_per_solve_on_the_solve_wide_inputs():
     # The Newton-step inputs of CI, counted by patching _newton_descent.
-    # Before the certified stop and the vertical-tangent step these read
-    # 5909 value passes, 4469 slope passes and 4309 steps.
+    # The 43 inputs that start at t0 = 1 take the closed form and make no
+    # descent call.
     counts = [0, 0]
 
     def descent(value, slope, x, floor):
@@ -703,7 +765,7 @@ def test_passes_per_solve_on_the_solve_wide_inputs():
     with mock.patch.object(solver, "_newton_descent", descent):
         steps = sum(solver._solve(sides)[3] for sides in inputs)
     assert len(inputs) == 1600
-    assert (counts[0], counts[1], steps) == (3946, 3908, 3873)
+    assert (counts[0], counts[1], steps) == (3781, 3751, 3736)
 
 
 def _outcome(build, *args):
