@@ -13,6 +13,9 @@ tallies.  The stress regime covers one extreme only: with a fixed
 probability one arc is forced tiny, so that two vertices nearly
 coincide.  Near-diameter sides, extreme radii and the quads layer are
 not drawn.
+Each trial's partition, drawn or stressed, is checked once, where it is
+built: a rule on the draws implies every rule of ``CentralAngles``, so
+``geometry._built_angles`` wraps the arcs without re-checking them.
 Failures are data, not exceptions, and the whole run is reproducible:
 the generator is splitmix64 (a 64-bit Weyl counter hashed through two
 xor-multiply rounds), implemented in pure integer arithmetic so streams
@@ -26,10 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import floor, inf, log10
 
 from .errors import DomainError
 from .geometry import (
     CentralAngles,
+    _built_angles,
     _integer,
     _real,
     side_lengths,  # noqa: F401  (rebound here by bench/spans.py)
@@ -52,6 +57,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 #: Generator draws reserved per trial; bounds the substream jump.
 _TRIAL_STRIDE = 256
+_TRIAL_JUMP = _TRIAL_STRIDE * _GAMMA
 
 #: Per-trial probability of forcing one arc below the degeneracy
 #: threshold, probing the coincident-vertex regime where cancellation
@@ -74,7 +80,7 @@ class SplitMix64:
     def for_trial(cls, seed: int, trial: int) -> SplitMix64:
         """Substream for one trial: the counter jumped past all earlier ones."""
         seed = _integer(seed, "seed must be an integer")
-        return cls(seed + _integer(trial, "trial must be an integer") * _TRIAL_STRIDE * _GAMMA)
+        return cls(seed + _integer(trial, "trial must be an integer") * _TRIAL_JUMP)
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64
@@ -151,18 +157,37 @@ def random_angles(n: int, gen: SplitMix64) -> CentralAngles:
     """n-1 strictly positive arcs summing to the half turn.
 
     Draws n-1 positive uniform variates and rescales them to total pi;
-    deterministic for a given generator state.
+    deterministic for a given generator state.  Draws in [2**-53, 1], as
+    ``next_positive_float`` gives, rescale to positive arcs whose sum is
+    within a few ulps of pi, so the partition is checked by that rule on
+    the draws.  Any other draws get ``CentralAngles``' error for their
+    rescale; draws whose sum is 0, or has no float, rescale to nan arcs.
     """
     if _integer(n, "n must be an integer") < 3:
         raise DomainError("need at least 3 vertices")
     variates = [gen.next_positive_float() for _ in range(n - 1)]
-    total = math.fsum(variates)
-    return CentralAngles([math.pi * u / total for u in variates])
+    try:
+        total = math.fsum(variates) or math.nan  # a zero total has no rescale
+    except (OverflowError, ValueError):  # finite overflow; inf + -inf
+        total = math.nan
+    arcs = [math.pi * u / total for u in variates]
+    # min and max can pass over a nan draw, which makes the total nan.
+    return _built_angles(
+        arcs, 2.0**-53 <= min(variates) and max(variates) <= 1.0 and total == total
+    )
 
 
 def _stressed(angles: CentralAngles, gen: SplitMix64) -> CentralAngles:
-    """Force one arc below the degeneracy threshold, keeping the sum."""
-    arcs = list(angles.arcs)
+    """Force one arc below the degeneracy threshold, keeping the sum.
+
+    ``angles`` is a valid partition, so the arcs but any one have a
+    positive sum.  With a target that names an arc and a finite factor,
+    the rescaled others close the half turn with a tiny arc in
+    (0, ``_STRESS_ARC``] to within a few ulps, so the partition is
+    checked by that rule on the draws; any other draws get
+    ``CentralAngles``' error.
+    """
+    arcs = angles.arcs
     target = gen.next_below(len(arcs))
     tiny = gen.next_positive_float() * _STRESS_ARC
     # Summing the other arcs, rather than taking pi minus the target,
@@ -172,7 +197,10 @@ def _stressed(angles: CentralAngles, gen: SplitMix64) -> CentralAngles:
     others = math.fsum(a for i, a in enumerate(arcs) if i != target)
     factor = (math.pi - tiny) / others
     rescaled = [tiny if i == target else a * factor for i, a in enumerate(arcs)]
-    return CentralAngles(rescaled)
+    return _built_angles(
+        rescaled,
+        0.0 < tiny <= _STRESS_ARC and factor < inf and target in range(len(arcs)),
+    )
 
 
 def _histogram(counts: dict[int | str, int]) -> dict[str, int]:
@@ -221,12 +249,12 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
             sides = [a for a in sides if a > 0.0]
         target_d = 2.0 * radius
         residuals.append(
-            abs(_solve(sides)[1] - target_d) / target_d if len(sides) > 1 else math.inf
+            abs(_solve(sides)[1] - target_d) / target_d if len(sides) > 1 else inf
         )
 
         for index, residual in enumerate(residuals):
-            if 0.0 < residual < math.inf:
-                key = math.floor(math.log10(residual))
+            if 0.0 < residual < inf:
+                key = floor(log10(residual))
             elif residual == 0.0:
                 key = "0"
             else:

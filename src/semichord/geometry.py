@@ -18,10 +18,12 @@ A polygon placed from arcs is validated once, where it enters:
 then checks only the radius and the lowest vertex, falling back to the
 full per-vertex validator for a vertex below the diameter.  An
 ``InscribedPolygon`` built directly checks every vertex.
-A partition built from sides by ``solver._arcs`` is checked where it
-is built, by ``_checked_angles``: the way it is built leaves two of
-``CentralAngles``' rules to check, and a list that fails one goes to
-``CentralAngles`` for its error.
+Every partition a package builder makes is checked where it is built,
+by a rule on the builder's own inputs that implies every rule of
+``CentralAngles``: the solver's from sides by ``_checked_angles``, and
+the fuzz draws' in ``fuzz``.  ``_built_angles`` wraps a list that meets
+its rule without ``__post_init__``; any other goes to ``CentralAngles``
+for its error.
 """
 
 from __future__ import annotations
@@ -132,6 +134,23 @@ class CentralAngles:
         return CentralAngles(self.arcs[::-1])
 
 
+def _built_angles(arcs: list[float], valid: bool) -> CentralAngles:
+    """``CentralAngles(arcs)`` for arcs a package builder has proven valid.
+
+    ``valid`` is the builder's own rule, checked on its inputs where it
+    builds the arcs, and it implies every rule of ``CentralAngles``.  A
+    list it holds for is wrapped without ``__post_init__``; any other
+    goes to ``CentralAngles`` for its error.  This is the only such wrap.
+    It lives here so that it reaches the class even where a caller's own
+    imported ``CentralAngles`` name is rebound, say to a tracing wrapper.
+    """
+    if valid:
+        angles = object.__new__(CentralAngles)
+        object.__setattr__(angles, "arcs", tuple(arcs))
+        return angles
+    return CentralAngles(arcs)
+
+
 def _checked_angles(arcs: list[float], widest: int) -> CentralAngles:
     """``CentralAngles(arcs)`` for arcs built from sides by ``solver._arcs``.
 
@@ -140,18 +159,10 @@ def _checked_angles(arcs: list[float], widest: int) -> CentralAngles:
     ``CentralAngles``' rules: ``arcs[widest]`` is non-negative, and at
     least two arcs are positive.  A non-negative complement closes the
     half turn to within about one ulp of pi, far inside
-    ``ARC_SUM_TOL``, so the sum needs no check.  A list that meets both
-    rules is wrapped without ``__post_init__``; any other goes to
-    ``CentralAngles`` for its error.  It lives here so that it reaches
-    the class even where a caller's own imported ``CentralAngles`` name
-    is rebound, say to a tracing wrapper.
+    ``ARC_SUM_TOL``, so the sum needs no check.
     """
     # A side whose ratio to d underflows gives a zero arc.
-    if 0.0 <= arcs[widest] and len(arcs) - arcs.count(0.0) >= 2:
-        angles = object.__new__(CentralAngles)
-        object.__setattr__(angles, "arcs", tuple(arcs))
-        return angles
-    return CentralAngles(arcs)
+    return _built_angles(arcs, 0.0 <= arcs[widest] and len(arcs) - arcs.count(0.0) >= 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,7 +284,7 @@ def vertices_from_angles(angles: CentralAngles, radius: float) -> InscribedPolyg
 def side_lengths(poly: InscribedPolygon) -> list[float]:
     """Euclidean distances between consecutive vertices (n-1 values)."""
     pts = poly.vertices
-    return [math.dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
+    return list(map(math.dist, pts, pts[1:]))
 
 
 def diagonal(poly: InscribedPolygon, i: int, j: int) -> float:

@@ -2,12 +2,18 @@
 
 import json
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from semichord import (
+    CentralAngles,
     DomainError,
     FuzzConfig,
+    InvalidAnglesError,
+    SemichordError,
     SplitMix64,
     corner_identity_residual,
     evaluate_general,
@@ -81,6 +87,146 @@ class TestRandomAngles:
     def test_rejects_float_n(self):
         with pytest.raises(DomainError):
             random_angles(4.0, SplitMix64(0))
+
+
+class _Draws(SplitMix64):
+    """A generator that returns chosen draws: floats in turn, and one index."""
+
+    def __init__(self, floats, below=0):
+        super().__init__(0)
+        self.floats = iter(floats)
+        self.below = below
+
+    def next_positive_float(self):
+        return next(self.floats)
+
+    def next_below(self, n):
+        return self.below
+
+
+def _outcome(build, *args):
+    """The arcs ``build`` gives, or the class and message it raises."""
+    try:
+        angles = build(*args)
+    except SemichordError as error:
+        return type(error), str(error)
+    assert type(angles) is CentralAngles
+    return angles.arcs
+
+
+def _checked(build, *args):
+    """``_outcome`` with every built list handed to ``CentralAngles`` itself."""
+    with mock.patch.object(fuzz, "_built_angles", lambda arcs, valid: CentralAngles(arcs)):
+        return _outcome(build, *args)
+
+
+#: Draws as next_positive_float gives them, or any float at all.
+draws = st.one_of(st.floats(min_value=2.0**-53, max_value=1.0), st.floats())
+
+
+@st.composite
+def valid_partitions(draw):
+    """Any partition ``CentralAngles`` accepts, zero and subnormal arcs included."""
+    weights = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=63))
+    total = math.fsum(weights)
+    try:
+        return CentralAngles([math.pi * w / total for w in weights])
+    except (ZeroDivisionError, InvalidAnglesError):
+        reject()
+
+
+class TestBuildersMatchTheCheckedConstruction:
+    """The fuzz builders check their partitions where they build them.
+
+    For any draws, ``random_angles`` and ``_stressed`` give the arcs of
+    ``CentralAngles`` on the list they build, or its exception class and
+    message.
+    """
+
+    @given(variates=st.lists(draws, min_size=2, max_size=63))
+    # The rule is on the draws, not the arcs: these rescale to (1.5, 1.5),
+    # which "0 < min(arcs), max(arcs) <= pi" would accept.
+    @example(variates=[5e-324, 5e-324])
+    # min and max skip a nan behind the first draw.
+    @example(variates=[math.nan, 1.0])
+    @example(variates=[1.0, math.nan])
+    @example(variates=[1.0, 2.0**-53])
+    @settings(max_examples=500, deadline=None)
+    def test_random_angles(self, variates):
+        n = len(variates) + 1
+        got = _outcome(random_angles, n, _Draws(variates))
+        assert got == _checked(random_angles, n, _Draws(variates))
+
+    def test_subnormal_draws_fail_the_sum_rule(self):
+        got = _outcome(random_angles, 3, _Draws([5e-324, 5e-324]))
+        assert got[0] is InvalidAnglesError
+        assert got[1].startswith("arcs must sum to pi, got 3.0 ")
+
+    @given(
+        angles=valid_partitions(),
+        tiny=draws,
+        target=st.one_of(st.integers(min_value=-1, max_value=64), st.just(0.5)),
+    )
+    # The other arcs sum to a subnormal, so the factor overflows to inf.
+    @example(angles=CentralAngles([math.pi, 5e-324]), tiny=0.5, target=0)
+    # An index no arc has leaves the tiny arc out and the sum short.
+    @example(angles=CentralAngles([1.0, math.pi - 1.0]), tiny=0.5, target=2)
+    @example(angles=CentralAngles([1.0, math.pi - 1.0]), tiny=0.5, target=0.5)
+    # A tiny arc past pi turns the factor negative.
+    @example(angles=CentralAngles([1.0, math.pi - 1.0]), tiny=1e7, target=0)
+    @settings(max_examples=500, deadline=None)
+    def test_stressed(self, angles, tiny, target):
+        got = _outcome(fuzz._stressed, angles, _Draws([tiny], target))
+        assert got == _checked(fuzz._stressed, angles, _Draws([tiny], target))
+
+    def test_overflowing_factor_fails_the_finite_rule(self):
+        angles = CentralAngles([math.pi, 5e-324])
+        got = _outcome(fuzz._stressed, angles, _Draws([0.5], 0))
+        assert got == (InvalidAnglesError, "arcs must be finite and sum to pi")
+
+    @pytest.mark.parametrize(
+        "variates",
+        [[0.0, 0.0], [-1.0, 1.0], [1e308, 1e308], [-math.inf, math.inf], [math.inf, 1.0]],
+        ids=["zero", "zero-sum", "overflow", "inf-inf", "inf"],
+    )
+    def test_draws_without_a_finite_positive_total_get_a_coded_error(self, variates):
+        with pytest.raises(InvalidAnglesError) as info:
+            random_angles(len(variates) + 1, _Draws(variates))
+        assert str(info.value) == "arcs must be finite and sum to pi"
+        assert info.value.code == "invalid_angles"
+
+
+class TestTrialPartitionsAreBuiltOnce:
+    def test_same_report_with_the_fuzz_name_rebound(self, monkeypatch):
+        # A tracer rebinds fuzz.CentralAngles to a plain function; the
+        # builders' wrap must still reach the class.
+        config = FuzzConfig(trials=200)
+        report = run_fuzz(config)
+
+        def plain(*args, **kwargs):
+            return CentralAngles(*args, **kwargs)
+
+        monkeypatch.setattr(fuzz, "CentralAngles", plain)
+        assert run_fuzz(config) == report
+
+    def test_default_run_never_runs_the_class_check(self, monkeypatch):
+        validated, stressed = [], []
+        post_init, stress = CentralAngles.__post_init__, fuzz._stressed
+
+        def counted(self):
+            validated.append(self)
+            post_init(self)
+
+        def counted_stress(angles, gen):
+            stressed.append(angles)
+            return stress(angles, gen)
+
+        monkeypatch.setattr(CentralAngles, "__post_init__", counted)
+        monkeypatch.setattr(fuzz, "_stressed", counted_stress)
+        report = run_fuzz(FuzzConfig())
+        assert report.failures == ()
+        assert stressed
+        assert validated == []
 
 
 class TestFuzzConfig:

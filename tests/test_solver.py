@@ -745,27 +745,26 @@ def _solve_wide_pools():
 
 
 def test_passes_per_solve_on_the_solve_wide_inputs():
-    # The Newton-step inputs of CI, counted by patching _newton_descent.
-    # The 43 inputs that start at t0 = 1 take the closed form and make no
-    # descent call.
-    counts = [0, 0]
+    # The Newton-step inputs of CI.  asin calls are counted around _solve
+    # only, so the closed form's theta and residual passes on the 43
+    # inputs that start at t0 = 1 count, and arc_sum's do not.
+    calls = [0]
 
-    def descent(value, slope, x, floor):
-        def counted_value(t):
-            counts[0] += 1
-            return value(t)
-
-        def counted_slope(t):
-            counts[1] += 1
-            return slope(t)
-
-        return _newton_descent(counted_value, counted_slope, x, floor)
+    def counted(x):
+        calls[0] += 1
+        return math.asin(x)
 
     inputs = _solve_wide_pools()
-    with mock.patch.object(solver, "_newton_descent", descent):
-        steps = sum(solver._solve(sides)[3] for sides in inputs)
+    steps = 0
+    passes = []
+    with mock.patch.object(solver, "asin", counted):
+        for sides in inputs:
+            before = calls[0]
+            steps += solver._solve(sides)[3]
+            passes.append((calls[0] - before) / len(sides))
     assert len(inputs) == 1600
-    assert (counts[0], counts[1], steps) == (3781, 3751, 3736)
+    assert (calls[0], steps) == (118479, 3736)
+    assert math.fsum(passes) / len(passes) == pytest.approx(2.4157, abs=1e-4)
 
 
 def _outcome(build, *args):
