@@ -20,10 +20,10 @@ full per-vertex validator for a vertex below the diameter.  An
 ``InscribedPolygon`` built directly checks every vertex.
 Every partition a package builder makes is checked where it is built,
 by a rule on the builder's own inputs that implies every rule of
-``CentralAngles``: the solver's from sides by ``_checked_angles``, and
-the fuzz draws' in ``fuzz``.  ``_built_angles`` wraps a list that meets
-its rule without ``__post_init__``; any other goes to ``CentralAngles``
-for its error.
+``CentralAngles``: the partitions from sides in ``solver._partition``,
+and the fuzz draws' in ``fuzz.random_angles`` and ``fuzz._stressed``.
+``_built_angles`` wraps a list that meets its rule without
+``__post_init__``; any other goes to ``CentralAngles`` for its error.
 """
 
 from __future__ import annotations
@@ -138,8 +138,9 @@ def _built_angles(arcs: list[float], valid: bool) -> CentralAngles:
     """``CentralAngles(arcs)`` for arcs a package builder has proven valid.
 
     ``valid`` is the builder's own rule, checked on its inputs where it
-    builds the arcs, and it implies every rule of ``CentralAngles``.  A
-    list it holds for is wrapped without ``__post_init__``; any other
+    builds the arcs (``solver._partition``, ``fuzz.random_angles`` and
+    ``fuzz._stressed``), and it implies every rule of ``CentralAngles``.
+    A list it holds for is wrapped without ``__post_init__``; any other
     goes to ``CentralAngles`` for its error.  This is the only such wrap.
     It lives here so that it reaches the class even where a caller's own
     imported ``CentralAngles`` name is rebound, say to a tracing wrapper.
@@ -149,20 +150,6 @@ def _built_angles(arcs: list[float], valid: bool) -> CentralAngles:
         object.__setattr__(angles, "arcs", tuple(arcs))
         return angles
     return CentralAngles(arcs)
-
-
-def _checked_angles(arcs: list[float], widest: int) -> CentralAngles:
-    """``CentralAngles(arcs)`` for arcs built from sides by ``solver._arcs``.
-
-    Every arc but ``arcs[widest]`` lies in [0, pi], and ``arcs[widest]``
-    is pi less the others' correctly rounded sum.  That leaves two of
-    ``CentralAngles``' rules: ``arcs[widest]`` is non-negative, and at
-    least two arcs are positive.  A non-negative complement closes the
-    half turn to within about one ulp of pi, far inside
-    ``ARC_SUM_TOL``, so the sum needs no check.
-    """
-    # A side whose ratio to d underflows gives a zero arc.
-    return _built_angles(arcs, 0.0 <= arcs[widest] and len(arcs) - arcs.count(0.0) >= 2)
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,7 +26,7 @@ from .geometry import InscribedPolygon, _diameter, _floats, _radius, vertices_fr
 from .geometry import CentralAngles  # noqa: F401  (rebound here by bench/spans.py)
 from .geometry import diagonal  # noqa: F401  (rebound here by bench/spans.py)
 from .identity import rhs_quadrilateral
-from .solver import _finite, _newton_descent, _partition, _scaled
+from .solver import _arcs, _finite, _newton_descent, _partition, _scaled
 from .solver import arcs_from_sides  # noqa: F401  (rebound here by bench/spans.py)
 
 
@@ -126,7 +126,7 @@ def enumerate_incongruent_quads(a: float, b: float, c: float) -> list[QuadArrang
     radius = 0.5 * d
     arrangements: list[QuadArrangement] = []
     for order in sorted({p for p in permutations(_floats((a, b, c))) if p <= p[::-1]}):
-        poly = vertices_from_angles(_partition(order, d), radius)
+        poly = vertices_from_angles(_partition(*_arcs(order, d)), radius)
         arrangements.append(
             QuadArrangement(
                 ordered_sides=order, d=d, polygon=poly, middle_side=order[1]

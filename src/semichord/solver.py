@@ -61,7 +61,7 @@ from .errors import ConvergenceError, DomainError
 from .geometry import (
     CentralAngles,
     InscribedPolygon,
-    _checked_angles,
+    _built_angles,
     _diameter,
     _floats,
     _radius,
@@ -305,9 +305,8 @@ def solve_diameter(sides) -> DiameterSolution:
 def _arcs(sides: tuple[float, ...], d: float) -> tuple[list[float], int]:
     """:func:`arcs_from_sides` on read sides and diameter, with the widest's index.
 
-    Every arc but the widest side's complement lies in [0, pi], so a
-    non-negative complement closes the half turn to within about one
-    ulp of pi.
+    The widest side's arc is the complement of the others; ``_partition``
+    checks the list by the rule this build leaves open.
     """
     # A valid side has 0 < a <= d but for clamp noise; _ratio checks the rest.
     arcs = [2.0 * asin(a / d if 0.0 < a <= d else _ratio(a, d)) for a in sides]
@@ -330,14 +329,19 @@ def arcs_from_sides(sides, d: float) -> list[float]:
     return _arcs(*_sides_and_diameter(sides, d))[0]
 
 
-def _partition(sides: tuple[float, ...], d: float) -> CentralAngles:
-    """``CentralAngles(arcs_from_sides(sides, d))`` for read sides and diameter.
+def _partition(arcs: list[float], widest: int) -> CentralAngles:
+    """``CentralAngles(arcs)`` for arcs built from sides by ``_arcs``.
 
-    The arcs are built once, by ``_arcs``, and checked where they are
-    built, by ``geometry._checked_angles``, with the floats and errors
-    of the checked construction for any d.
+    Every arc but ``arcs[widest]`` lies in [0, pi], and ``arcs[widest]``
+    is pi less the others' correctly rounded sum.  That leaves two of
+    ``CentralAngles``' rules: ``arcs[widest]`` is non-negative, and at
+    least two arcs are positive.  A non-negative complement closes the
+    half turn to within about one ulp of pi, far inside
+    ``ARC_SUM_TOL``, so the sum needs no check.  A list that breaks a
+    rule gets ``CentralAngles``' error.
     """
-    return _checked_angles(*_arcs(sides, d))
+    # A side whose ratio to d underflows gives a zero arc.
+    return _built_angles(arcs, 0.0 <= arcs[widest] and len(arcs) - arcs.count(0.0) >= 2)
 
 
 def inscribe_from_sides(sides) -> InscribedPolygon:
@@ -351,4 +355,4 @@ def inscribe_from_sides(sides) -> InscribedPolygon:
     sides, d, _, _ = _solve(sides)
     # A subnormal d/2 is a domain error, checked before the arcs it can degenerate.
     radius = _radius(0.5 * d)
-    return vertices_from_angles(_partition(sides, d), radius)
+    return vertices_from_angles(_partition(*_arcs(sides, d)), radius)

@@ -1,10 +1,12 @@
 """Tests for the semicircle coordinate layer."""
 
+import ast
 import math
 import struct
 import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -28,8 +30,8 @@ from semichord import (
     side_lengths,
     vertices_from_angles,
 )
-from semichord import corner_identity_residual, fuzz
-from semichord.geometry import ARC_SUM_TOL, _checked_angles
+from semichord import corner_identity_residual, fuzz, geometry, identity
+from semichord.geometry import ARC_SUM_TOL
 from semichord.identity import _D_MAX, _D_MIN, _general_identity
 
 
@@ -124,85 +126,6 @@ class TestCentralAngles:
         with pytest.raises(InvalidAnglesError) as info:
             CentralAngles(arcs)
         assert str(info.value) == message
-
-
-def _angles_outcome(build, arcs):
-    """The angles ``build`` gives, or the class and message it raises."""
-    try:
-        return build(arcs)
-    except SemichordError as error:
-        return type(error), str(error)
-
-
-@st.composite
-def built_arcs(draw):
-    """Arcs as ``solver._arcs`` builds them, with the widest's index.
-
-    n - 1 arcs in [0, pi], half the time rescaled to sum to about pi so
-    that the complement sits near 0, and at any index the half-turn
-    complement of their correctly rounded sum.
-    """
-    n = draw(st.integers(min_value=2, max_value=64))
-    arcs = draw(
-        st.lists(st.floats(min_value=0.0, max_value=math.pi), min_size=n - 1, max_size=n - 1)
-    )
-    total = math.fsum(arcs)
-    if total > 0.0 and draw(st.booleans()):
-        arcs = [min(a * (math.pi / total), math.pi) for a in arcs]
-    widest = draw(st.integers(min_value=0, max_value=n - 1))
-    arcs.insert(widest, 0.0)
-    arcs[widest] = math.pi - math.fsum(arcs)
-    return arcs, widest
-
-
-class TestCheckedAngles:
-    """``_checked_angles`` keeps ``CentralAngles``' rules for built arcs.
-
-    Every arc but ``arcs[widest]`` lies in [0, pi], and ``arcs[widest]``
-    is the complement of their sum, as where ``solver._arcs`` builds
-    them.  That leaves two rules to check; each row breaks one, and must
-    get ``CentralAngles(arcs)``'s error.
-    """
-
-    @pytest.mark.parametrize(
-        "arcs, widest",
-        [
-            ([2.0, 1.5, math.pi - 3.5], 2),
-            ([0.0, math.pi], 1),
-            ([0.0, math.pi, 0.0], 1),
-            ([1.0, math.nan, 1.0], 1),
-        ],
-        ids=["negative-widest", "one-positive", "one-of-three", "nan"],
-    )
-    def test_failed_rule_gets_the_central_angles_error(self, arcs, widest):
-        got = _angles_outcome(lambda a: _checked_angles(a, widest), arcs)
-        assert got == _angles_outcome(CentralAngles, arcs)
-        assert got[0] is InvalidAnglesError
-
-    @given(built=built_arcs())
-    @example(built=([math.pi / 2, math.pi / 2], 0))
-    @example(built=([math.pi, 0.0, 0.0], 0))
-    @settings(max_examples=500, deadline=None)
-    def test_non_negative_complement_closes_the_half_turn(self, built):
-        # So the sum rule CentralAngles checks holds with no check of its own.
-        arcs, widest = built
-        if arcs[widest] >= 0.0:
-            assert abs(math.fsum(arcs) - math.pi) <= 2 * math.ulp(math.pi)
-        got = _angles_outcome(lambda a: _checked_angles(a, widest), arcs)
-        assert got == _angles_outcome(CentralAngles, arcs)
-
-    @pytest.mark.parametrize(
-        "arcs, widest",
-        [
-            ([1.0, 1.0, math.pi - 2.0], 2),
-            ([0.0, 1.0, math.pi - 1.0], 2),
-            ([1.0, math.pi - 1.0 + 0.5 * ARC_SUM_TOL], 1),
-        ],
-    )
-    def test_passing_list_is_the_central_angles(self, arcs, widest):
-        angles = _checked_angles(arcs, widest)
-        assert type(angles) is CentralAngles
-        assert angles == CentralAngles(arcs)
 
 
 class TestVerticesFromAngles:
@@ -586,3 +509,32 @@ def test_distances_match_the_hand_written_form(angles, k, stress):
         rhs = pq * pq + qe * qe + 2.0 * pq * qe * a1p / d
         want = abs(pe_sq - rhs) / pe_sq if pe_sq else 0.0
         assert _bits([corner_identity_residual(poly)]) == _bits([want])
+
+
+def _package_imports(module) -> set[str]:
+    """The package modules ``module``'s source imports, anywhere in it.
+
+    A relative import gives the module's name, an absolute one its full
+    ``semichord`` name.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                found.update([node.module] if node.module else [a.name for a in node.names])
+            elif node.module.split(".")[0] == "semichord":
+                found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.split(".")[0] == "semichord")
+    return found
+
+
+@pytest.mark.parametrize(
+    "module, allowed",
+    [(geometry, {"errors"}), (identity, {"errors", "geometry"})],
+    ids=["geometry", "identity"],
+)
+def test_coordinate_oracle_stays_independent(module, allowed):
+    # geometry and identity are the references the solver, quads and fuzz
+    # are tested against, so they must not reach into those modules.
+    assert _package_imports(module) <= allowed

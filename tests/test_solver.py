@@ -22,13 +22,15 @@ from semichord import (
     arcs_from_sides,
     diagonal,
     diameter_cubic,
+    enumerate_incongruent_quads,
     evaluate_general,
     inscribe_from_sides,
     side_lengths,
     solve_diameter,
     vertices_from_angles,
 )
-from semichord import solver
+from semichord import cli, solver
+from semichord.geometry import ARC_SUM_TOL
 from semichord.solver import _bracket_end, _newton_descent, _ratio
 
 SQRT2 = math.sqrt(2.0)
@@ -745,26 +747,117 @@ def _solve_wide_pools():
 
 
 def test_passes_per_solve_on_the_solve_wide_inputs():
-    # The Newton-step inputs of CI.  asin calls are counted around _solve
-    # only, so the closed form's theta and residual passes on the 43
-    # inputs that start at t0 = 1 count, and arc_sum's do not.
+    # Step counts are deterministic for fixed inputs.  asin calls are
+    # counted around _solve only, so the closed form's theta and residual
+    # passes on the inputs that start at t0 = 1 count, and arc_sum's do
+    # not.  Only the closed form calls cos, once a solve.
     calls = [0]
+    tangents = [0]
 
     def counted(x):
         calls[0] += 1
         return math.asin(x)
 
+    def tangent(x):
+        tangents[0] += 1
+        return math.cos(x)
+
     inputs = _solve_wide_pools()
     steps = 0
     passes = []
-    with mock.patch.object(solver, "asin", counted):
+    with mock.patch.object(solver, "asin", counted), mock.patch.object(solver, "cos", tangent):
         for sides in inputs:
             before = calls[0]
             steps += solver._solve(sides)[3]
             passes.append((calls[0] - before) / len(sides))
+    mean_steps = steps / len(inputs)
+    mean_passes = math.fsum(passes) / len(passes)
+    assert mean_steps <= 2.4, (
+        f"solve_diameter iterations mean {mean_steps}, "
+        f"asin calls per side per solve {mean_passes}, over {len(inputs)} inputs"
+    )
     assert len(inputs) == 1600
-    assert (calls[0], steps) == (118479, 3736)
-    assert math.fsum(passes) / len(passes) == pytest.approx(2.4157, abs=1e-4)
+    assert (calls[0], steps, tangents[0]) == (118479, 3736, 43)
+    assert mean_passes == pytest.approx(2.4157, abs=1e-4)
+
+
+def _angles_outcome(build, arcs):
+    """The angles ``build`` gives, or the class and message it raises."""
+    try:
+        return build(arcs)
+    except SemichordError as error:
+        return type(error), str(error)
+
+
+@st.composite
+def built_arcs(draw):
+    """Arcs as ``solver._arcs`` builds them, with the widest's index.
+
+    n - 1 arcs in [0, pi], half the time rescaled to sum to about pi so
+    that the complement sits near 0, and at any index the half-turn
+    complement of their correctly rounded sum.
+    """
+    n = draw(st.integers(min_value=2, max_value=64))
+    arcs = draw(
+        st.lists(st.floats(min_value=0.0, max_value=math.pi), min_size=n - 1, max_size=n - 1)
+    )
+    total = math.fsum(arcs)
+    if total > 0.0 and draw(st.booleans()):
+        arcs = [min(a * (math.pi / total), math.pi) for a in arcs]
+    widest = draw(st.integers(min_value=0, max_value=n - 1))
+    arcs.insert(widest, 0.0)
+    arcs[widest] = math.pi - math.fsum(arcs)
+    return arcs, widest
+
+
+class TestCheckedAngles:
+    """``_partition`` keeps ``CentralAngles``' rules for built arcs.
+
+    Every arc but ``arcs[widest]`` lies in [0, pi], and ``arcs[widest]``
+    is the complement of their sum, as where ``solver._arcs`` builds
+    them.  That leaves two rules to check; each row breaks one, and must
+    get ``CentralAngles(arcs)``'s error.
+    """
+
+    @pytest.mark.parametrize(
+        "arcs, widest",
+        [
+            ([2.0, 1.5, math.pi - 3.5], 2),
+            ([0.0, math.pi], 1),
+            ([0.0, math.pi, 0.0], 1),
+            ([1.0, math.nan, 1.0], 1),
+        ],
+        ids=["negative-widest", "one-positive", "one-of-three", "nan"],
+    )
+    def test_failed_rule_gets_the_central_angles_error(self, arcs, widest):
+        got = _angles_outcome(lambda a: solver._partition(a, widest), arcs)
+        assert got == _angles_outcome(CentralAngles, arcs)
+        assert got[0] is InvalidAnglesError
+
+    @given(built=built_arcs())
+    @example(built=([math.pi / 2, math.pi / 2], 0))
+    @example(built=([math.pi, 0.0, 0.0], 0))
+    @settings(max_examples=500, deadline=None)
+    def test_non_negative_complement_closes_the_half_turn(self, built):
+        # So the sum rule CentralAngles checks holds with no check of its own.
+        arcs, widest = built
+        if arcs[widest] >= 0.0:
+            assert abs(math.fsum(arcs) - math.pi) <= 2 * math.ulp(math.pi)
+        got = _angles_outcome(lambda a: solver._partition(a, widest), arcs)
+        assert got == _angles_outcome(CentralAngles, arcs)
+
+    @pytest.mark.parametrize(
+        "arcs, widest",
+        [
+            ([1.0, 1.0, math.pi - 2.0], 2),
+            ([0.0, 1.0, math.pi - 1.0], 2),
+            ([1.0, math.pi - 1.0 + 0.5 * ARC_SUM_TOL], 1),
+        ],
+    )
+    def test_passing_list_is_the_central_angles(self, arcs, widest):
+        angles = solver._partition(arcs, widest)
+        assert type(angles) is CentralAngles
+        assert angles == CentralAngles(arcs)
 
 
 def _outcome(build, *args):
@@ -782,9 +875,9 @@ def _checked_partition(sides, d):
 class TestPartitionMatchesTheCheckedConstruction:
     """inscribe_from_sides checks its arc partition where it builds it.
 
-    For any d, solved or not, ``_partition`` gives the arcs of
-    ``CentralAngles(arcs_from_sides(sides, d))``, or its exception class
-    and message.
+    For any d, solved or not, ``_partition(*_arcs(sides, d))`` gives the
+    arcs of ``CentralAngles(arcs_from_sides(sides, d))``, or its
+    exception class and message.
     """
 
     @given(sides=semicircle_sides())
@@ -796,7 +889,7 @@ class TestPartitionMatchesTheCheckedConstruction:
 
     @staticmethod
     def _check(sides, d):
-        got = _outcome(solver._partition, sides, d)
+        got = _outcome(lambda s, d: solver._partition(*solver._arcs(s, d)), sides, d)
         assert got == _outcome(_checked_partition, sides, d)
         return got
 
@@ -826,7 +919,7 @@ class TestPartitionMatchesTheCheckedConstruction:
         d = solver._solve(sides)[1]
         with mock.patch.object(solver, "asin", wraps=math.asin) as asin:
             with pytest.raises(InvalidAnglesError):
-                solver._partition(sides, d)
+                solver._partition(*solver._arcs(sides, d))
         assert asin.call_count == len(sides)
 
     @pytest.mark.parametrize(
@@ -842,6 +935,53 @@ class TestPartitionMatchesTheCheckedConstruction:
 
     def test_built_without_revalidation_but_equal(self):
         sides, d, _, _ = solver._solve([3.0, 4.0, 5.0, 6.0])
-        angles = solver._partition(sides, d)
+        angles = solver._partition(*solver._arcs(sides, d))
         assert type(angles) is CentralAngles
         assert angles == _checked_partition(sides, d)
+
+
+class TestBuildersSkipTheClassCheck:
+    """The solver and quads builders never run ``CentralAngles.__post_init__``.
+
+    Their partitions are checked by ``_partition`` where they are built;
+    only a user's arcs, as ``verify --radius`` takes them, reach the
+    class check.
+    """
+
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        validated = []
+        post_init = CentralAngles.__post_init__
+
+        def counted(self):
+            validated.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(CentralAngles, "__post_init__", counted)
+        return validated
+
+    def test_inscribe_from_sides(self, validated):
+        for sides in _solve_wide_pools():
+            inscribe_from_sides(sides)
+        assert validated == []
+
+    @pytest.mark.parametrize("sides", [(3.0, 4.0, 5.0), (2.0, 2.0, 3.0), (2.0, 2.0, 2.0)])
+    def test_enumerate_incongruent_quads(self, validated, sides):
+        assert enumerate_incongruent_quads(*sides)
+        assert validated == []
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["construct", "3,4,5"], 0),
+            (["verify", "3,4,5,6"], 0),
+            (["render", "3,4,5", "--out", "sides.svg"], 0),
+            # The class must check a user's arcs.
+            (["verify", "30,60,90", "--radius", "2"], 1),
+        ],
+    )
+    def test_cli(self, validated, argv, count, tmp_path, capsys):
+        argv = [str(tmp_path / arg) if arg.endswith(".svg") else arg for arg in argv]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out
+        assert len(validated) == count
