@@ -21,15 +21,25 @@ the generator is splitmix64 (a 64-bit Weyl counter hashed through two
 xor-multiply rounds), implemented in pure integer arithmetic so streams
 are identical on every platform, and each trial owns a disjoint
 substream reached by jumping the counter, so results do not depend on
-execution order.  The checks sum in a fixed order, so reports are
-identical on every platform and Python version too.
+execution order.  A trial draws its n one at a time, then mixes all its
+other draws up to the stress decision (the radius, the n-1 variates and
+the decision) in one lane-parallel block: splitmix64 hashes each
+counter value on its own, so one Python int holds them all in 128-bit
+lanes.  A mask keeps each lane below 2**64 when it is multiplied by a
+64-bit constant, so the product is below 2**128 and cannot carry into
+the next lane, and the block gives the stream the single draws give.
+Its lanes are read in an explicit little-endian order.  The checks sum
+in a fixed order, so reports are identical on every platform and Python
+version too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from math import floor, inf, log10
+from struct import Struct
 
 from .errors import DomainError
 from .geometry import (
@@ -53,7 +63,12 @@ from .solver import _solve
 from .solver import solve_diameter  # noqa: F401  (rebound here by bench/spans.py)
 
 _MASK64 = (1 << 64) - 1
+_MASK53 = (1 << 53) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+#: Width of one lane of a block draw: room for the product of two
+#: values below 2**64.
+_LANE_BITS = 128
 
 #: Generator draws reserved per trial; bounds the substream jump.
 _TRIAL_STRIDE = 256
@@ -68,8 +83,26 @@ _STRESS_ARC = 1e-6
 GENERATOR_NAME = "splitmix64"
 
 
+@cache
+def _lanes(k: int) -> tuple[int, int, int, int, Struct]:
+    """Constants of a k-lane block draw, built on first use for each k.
+
+    Ones in each lane, lane i's counter step (i+1)*gamma, the 64- and
+    53-bit lane masks, and the little-endian unpacking of each lane's low
+    64 bits.  ``FuzzConfig`` caps a trial's block at 65 lanes.
+    """
+    ones = sum(1 << _LANE_BITS * i for i in range(k))
+    steps = sum((i + 1) * _GAMMA << _LANE_BITS * i for i in range(k))
+    lane = Struct("<" + "Q8x" * k)
+    return ones, steps, ones * _MASK64, ones * _MASK53, lane
+
+
 class SplitMix64:
-    """Portable 64-bit generator with O(1) substream jumps."""
+    """Portable 64-bit generator with O(1) substream jumps.
+
+    ``next_u64`` is the single draw, and the reference for the block
+    draw ``_next_block``, which mixes k successive draws at once.
+    """
 
     __slots__ = ("state",)
 
@@ -88,6 +121,24 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
+
+    def _next_block(self, k: int) -> tuple[int, ...]:
+        """The next k draws ``next_u64() >> 11``, mixed at once.
+
+        Lane i of one int holds the counter after i+1 steps, and each
+        step of the mixing runs once over every lane.  A mask after each
+        shift and multiply drops the bits a lane takes from its
+        neighbour or from a product's high half, so each lane is below
+        2**64 when it is multiplied and the product stays in its 128-bit
+        lane.  The state advances by k draws.
+        """
+        ones, steps, mask64, mask53, lane = _lanes(k)
+        z = (self.state * ones + steps) & mask64
+        self.state = (self.state + k * _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) & mask64) * 0xBF58476D1CE4E5B9 & mask64
+        z = ((z ^ (z >> 27)) & mask64) * 0x94D049BB133111EB & mask64
+        z = ((z ^ (z >> 31)) >> 11) & mask53
+        return lane.unpack(z.to_bytes(_LANE_BITS // 8 * k, "little"))
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
@@ -156,16 +207,25 @@ class FuzzReport:
 def random_angles(n: int, gen: SplitMix64) -> CentralAngles:
     """n-1 strictly positive arcs summing to the half turn.
 
-    Draws n-1 positive uniform variates and rescales them to total pi;
-    deterministic for a given generator state.  Draws in [2**-53, 1], as
+    Draws n-1 positive uniform variates with ``next_positive_float`` and
+    rescales them to total pi, as ``_rescaled`` does; deterministic for a
+    given generator state.
+    """
+    if _integer(n, "n must be an integer") < 3:
+        raise DomainError("need at least 3 vertices")
+    return _rescaled([gen.next_positive_float() for _ in range(n - 1)])
+
+
+def _rescaled(variates: list[float]) -> CentralAngles:
+    """The partition of the half turn in proportion to ``variates``.
+
+    The one home of the rescale, for ``random_angles`` and for
+    ``run_fuzz``'s block draws.  Draws in [2**-53, 1], as
     ``next_positive_float`` gives, rescale to positive arcs whose sum is
     within a few ulps of pi, so the partition is checked by that rule on
     the draws.  Any other draws get ``CentralAngles``' error for their
     rescale; draws whose sum is 0, or has no float, rescale to nan arcs.
     """
-    if _integer(n, "n must be an integer") < 3:
-        raise DomainError("need at least 3 vertices")
-    variates = [gen.next_positive_float() for _ in range(n - 1)]
     try:
         total = math.fsum(variates) or math.nan  # a zero total has no rescale
     except (OverflowError, ValueError):  # finite overflow; inf + -inf
@@ -232,11 +292,14 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
         gen = SplitMix64.for_trial(config.seed, trial)
         trial_state = gen.state
         n = config.n_min + gen.next_below(config.n_max - config.n_min + 1)
-        radius = config.radius_min + gen.next_float() * (
+        # The radius, the n-1 variates and the stress decision, as
+        # next_float, next_positive_float and next_float give them.
+        draws = gen._next_block(n + 1)
+        radius = config.radius_min + draws[0] * 2.0**-53 * (
             config.radius_max - config.radius_min
         )
-        angles = random_angles(n, gen)
-        if gen.next_float() < _STRESS_PROBABILITY:
+        angles = _rescaled([(u + 1) * 2.0**-53 for u in draws[1:n]])
+        if draws[n] * 2.0**-53 < _STRESS_PROBABILITY:
             angles = _stressed(angles, gen)
         poly = vertices_from_angles(angles, radius)
 

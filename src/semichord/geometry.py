@@ -21,7 +21,7 @@ full per-vertex validator for a vertex below the diameter.  An
 Every partition a package builder makes is checked where it is built,
 by a rule on the builder's own inputs that implies every rule of
 ``CentralAngles``: the partitions from sides in ``solver._partition``,
-and the fuzz draws' in ``fuzz.random_angles`` and ``fuzz._stressed``.
+and the fuzz draws' in ``fuzz._rescaled`` and ``fuzz._stressed``.
 ``_built_angles`` wraps a list that meets its rule without
 ``__post_init__``; any other goes to ``CentralAngles`` for its error.
 """
@@ -138,7 +138,7 @@ def _built_angles(arcs: list[float], valid: bool) -> CentralAngles:
     """``CentralAngles(arcs)`` for arcs a package builder has proven valid.
 
     ``valid`` is the builder's own rule, checked on its inputs where it
-    builds the arcs (``solver._partition``, ``fuzz.random_angles`` and
+    builds the arcs (``solver._partition``, ``fuzz._rescaled`` and
     ``fuzz._stressed``), and it implies every rule of ``CentralAngles``.
     A list it holds for is wrapped without ``__post_init__``; any other
     goes to ``CentralAngles`` for its error.  This is the only such wrap.

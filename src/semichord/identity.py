@@ -103,7 +103,9 @@ def _check_lengths(names: str, bound: str, scale: int, unit, *values) -> None:
 def rhs_quadrilateral(a: float, b: float, c: float, d: float) -> float:
     """Right side of the 4-vertex identity: a^2 + b^2 + c^2 + 2abc/d.
 
-    Symmetric in (a, b, c).  With any short side zero this collapses to
+    The exact value is symmetric in (a, b, c); the float is not, since
+    the sum rounds in the order given, and can move by an ulp or two when
+    the sides are permuted.  With any short side zero this collapses to
     the right-triangle sum of two squares.
     """
     _check_lengths("abc", "2^10 d", 1, d, a, b, c)

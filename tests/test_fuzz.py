@@ -22,6 +22,7 @@ from semichord import (
     run_fuzz,
     side_lengths,
     solve_diameter,
+    vertices_from_angles,
 )
 from semichord import fuzz, solver
 from semichord.cli import main
@@ -61,6 +62,45 @@ class TestSplitMix64:
         a = SplitMix64.for_trial(42, 0)
         b = SplitMix64.for_trial(42, 1)
         assert a.next_u64() != b.next_u64()
+
+
+#: The 1..65 lanes a fuzz trial's block can have (n_max is at most 64).
+_WIDTHS = range(1, 66)
+
+
+class TestBlockDrawMatchesSingleDraws:
+    """``_next_block(k)`` is k calls of ``next_u64() >> 11``, bit for bit."""
+
+    @staticmethod
+    def _assert_matches(state: int, k: int) -> None:
+        block, single = SplitMix64(state), SplitMix64(state)
+        assert list(block._next_block(k)) == [single.next_u64() >> 11 for _ in range(k)]
+        assert block.state == single.state
+
+    @pytest.mark.parametrize("k", _WIDTHS)
+    @pytest.mark.parametrize("state", [0, 2**64 - 1])
+    def test_edge_states(self, state, k):
+        self._assert_matches(state, k)
+
+    # Every block of two or more lanes wraps the counter past 2**64, since
+    # gamma exceeds 2**63.  These put a lane's counter exactly on 0, and on
+    # 2**64 - 1, in the first, middle and last lane.
+    @pytest.mark.parametrize("k", _WIDTHS)
+    @pytest.mark.parametrize("offset", [0, -1])
+    def test_lanes_on_the_wrap(self, k, offset):
+        for lane in sorted({1, (k + 1) // 2, k}):
+            self._assert_matches((offset - lane * 0x9E3779B97F4A7C15) % 2**64, k)
+
+    def test_reference_vector(self):
+        assert SplitMix64(0)._next_block(5) == tuple(u >> 11 for u in SPLITMIX64_SEED0)
+
+    @given(
+        state=st.integers(min_value=0, max_value=2**64 - 1),
+        k=st.integers(min_value=1, max_value=65),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_state(self, state, k):
+        self._assert_matches(state, k)
 
 
 class TestRandomAngles:
@@ -156,6 +196,18 @@ class TestBuildersMatchTheCheckedConstruction:
         n = len(variates) + 1
         got = _outcome(random_angles, n, _Draws(variates))
         assert got == _checked(random_angles, n, _Draws(variates))
+
+    @given(variates=st.lists(draws, min_size=2, max_size=63))
+    @example(variates=[5e-324, 5e-324])
+    @example(variates=[math.nan, 1.0])
+    @example(variates=[0.0, 0.0])
+    @example(variates=[1e308, 1e308])
+    @settings(max_examples=300, deadline=None)
+    def test_one_home_for_the_rescale(self, variates):
+        # run_fuzz rescales its block draws with _rescaled; it must be
+        # random_angles' rescale of the same draws, valid or failing.
+        got = _outcome(fuzz._rescaled, variates)
+        assert got == _outcome(random_angles, len(variates) + 1, _Draws(variates))
 
     def test_subnormal_draws_fail_the_sum_rule(self):
         got = _outcome(random_angles, 3, _Draws([5e-324, 5e-324]))
@@ -343,6 +395,32 @@ def _capture_polygons(monkeypatch) -> list:
 
     monkeypatch.setattr(fuzz, "vertices_from_angles", capture)
     return placed
+
+
+class TestTrialsMatchTheSingleDraws:
+    """run_fuzz places the polygon the scalar draws of its trial give."""
+
+    @pytest.mark.parametrize(
+        "n_min, n_max, seed", [(3, 3, 1), (3, 12, 2), (3, 64, 3), (64, 64, 4)]
+    )
+    def test_placed_polygons(self, n_min, n_max, seed, monkeypatch):
+        placed = _capture_polygons(monkeypatch)
+        config = FuzzConfig(trials=150, n_min=n_min, n_max=n_max, seed=seed)
+        run_fuzz(config)
+        stressed = 0
+        for trial, poly in enumerate(placed):
+            gen = SplitMix64.for_trial(seed, trial)
+            n = n_min + gen.next_below(n_max - n_min + 1)
+            radius = config.radius_min + gen.next_float() * (
+                config.radius_max - config.radius_min
+            )
+            angles = random_angles(n, gen)
+            if gen.next_float() < fuzz._STRESS_PROBABILITY:
+                angles = fuzz._stressed(angles, gen)
+                stressed += 1
+            assert poly == vertices_from_angles(angles, radius)
+        assert len(placed) == config.trials
+        assert stressed
 
 
 class TestChecksMatchThePublicApi:
