@@ -63,7 +63,6 @@ from .solver import _solve
 from .solver import solve_diameter  # noqa: F401  (rebound here by bench/spans.py)
 
 _MASK64 = (1 << 64) - 1
-_MASK53 = (1 << 53) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 #: Width of one lane of a block draw: room for the product of two
@@ -82,19 +81,22 @@ _STRESS_ARC = 1e-6
 
 GENERATOR_NAME = "splitmix64"
 
+#: Most vertices of a fuzzed polygon, for ``FuzzConfig`` and ``random_angles``.
+_MAX_VERTICES = 64
+
 
 @cache
-def _lanes(k: int) -> tuple[int, int, int, int, Struct]:
+def _lanes(k: int) -> tuple[int, int, int, Struct]:
     """Constants of a k-lane block draw, built on first use for each k.
 
-    Ones in each lane, lane i's counter step (i+1)*gamma, the 64- and
-    53-bit lane masks, and the little-endian unpacking of each lane's low
-    64 bits.  ``FuzzConfig`` caps a trial's block at 65 lanes.
+    Ones in each lane, lane i's counter step (i+1)*gamma, the 64-bit
+    lane mask, and the little-endian unpacking of each lane's low 64
+    bits.  ``FuzzConfig`` caps a trial's block at 65 lanes.
     """
     ones = sum(1 << _LANE_BITS * i for i in range(k))
     steps = sum((i + 1) * _GAMMA << _LANE_BITS * i for i in range(k))
     lane = Struct("<" + "Q8x" * k)
-    return ones, steps, ones * _MASK64, ones * _MASK53, lane
+    return ones, steps, ones * _MASK64, lane
 
 
 class SplitMix64:
@@ -130,14 +132,18 @@ class SplitMix64:
         shift and multiply drops the bits a lane takes from its
         neighbour or from a product's high half, so each lane is below
         2**64 when it is multiplied and the product stays in its 128-bit
-        lane.  The state advances by k draws.
+        lane.  The last shift needs no mask: after the final xor-shift,
+        bits 64 to 96 of each lane are clear, since the neighbour's bits
+        land from bit 97 up, so ``>> 11`` leaves each lane's low 64 bits
+        below 2**53, and they are all the unpacking reads.  The state
+        advances by k draws.
         """
-        ones, steps, mask64, mask53, lane = _lanes(k)
+        ones, steps, mask64, lane = _lanes(k)
         z = (self.state * ones + steps) & mask64
         self.state = (self.state + k * _GAMMA) & _MASK64
         z = ((z ^ (z >> 30)) & mask64) * 0xBF58476D1CE4E5B9 & mask64
         z = ((z ^ (z >> 27)) & mask64) * 0x94D049BB133111EB & mask64
-        z = ((z ^ (z >> 31)) >> 11) & mask53
+        z = (z ^ (z >> 31)) >> 11
         return lane.unpack(z.to_bytes(_LANE_BITS // 8 * k, "little"))
 
     def next_float(self) -> float:
@@ -170,8 +176,8 @@ class FuzzConfig:
             _integer(getattr(self, name), f"{name} must be an integer")
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
-        if not 3 <= self.n_min <= self.n_max <= 64:
-            raise DomainError("need 3 <= n_min <= n_max <= 64")
+        if not 3 <= self.n_min <= self.n_max <= _MAX_VERTICES:
+            raise DomainError(f"need 3 <= n_min <= n_max <= {_MAX_VERTICES}")
         message = "radius_min and radius_max must be real numbers"
         low, high = _real(self.radius_min, message), _real(self.radius_max, message)
         # Every drawn diameter 2R must lie in the identity's window.
@@ -205,14 +211,14 @@ class FuzzReport:
 
 
 def random_angles(n: int, gen: SplitMix64) -> CentralAngles:
-    """n-1 strictly positive arcs summing to the half turn.
+    """n-1 strictly positive arcs summing to the half turn, for 3 <= n <= 64.
 
     Draws n-1 positive uniform variates with ``next_positive_float`` and
     rescales them to total pi, as ``_rescaled`` does; deterministic for a
-    given generator state.
+    given generator state.  An n out of range raises before any draw.
     """
-    if _integer(n, "n must be an integer") < 3:
-        raise DomainError("need at least 3 vertices")
+    if not 3 <= _integer(n, "n must be an integer") <= _MAX_VERTICES:
+        raise DomainError(f"need 3 <= n <= {_MAX_VERTICES} vertices")
     return _rescaled([gen.next_positive_float() for _ in range(n - 1)])
 
 

@@ -120,13 +120,19 @@ class TestRandomAngles:
         second = random_angles(8, SplitMix64(123))
         assert first.arcs == second.arcs
 
-    def test_rejects_tiny_n(self):
-        with pytest.raises(DomainError):
-            random_angles(2, SplitMix64(0))
-
     def test_rejects_float_n(self):
         with pytest.raises(DomainError):
             random_angles(4.0, SplitMix64(0))
+
+    # n - 1 floats are drawn into a list, so n is checked before any draw.
+    @pytest.mark.parametrize("n", [2, 65, 10**400], ids=["2", "65", "10**400"])
+    def test_rejects_n_out_of_range_before_drawing(self, n):
+        gen = SplitMix64(7)
+        with pytest.raises(DomainError) as info:
+            random_angles(n, gen)
+        assert info.value.code == "domain"
+        assert str(info.value) == "need 3 <= n <= 64 vertices"
+        assert gen.state == 7
 
 
 class _Draws(SplitMix64):

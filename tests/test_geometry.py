@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+import references
 from semichord import (
     CentralAngles,
     ChordSet,
@@ -346,17 +347,6 @@ def test_diagonals_match_summed_arcs(angles, radius):
             assert abs(diagonal(poly, i, j) - expected) <= 1e-12 * radius
 
 
-def _placed(angles, radius):
-    """The vertices ``vertices_from_angles`` places, without its checks."""
-    pts = [(-radius, 0.0)]
-    theta = math.pi
-    for arc in angles.arcs[:-1]:
-        theta -= arc
-        pts.append((radius * math.cos(theta), radius * math.sin(theta)))
-    pts.append((radius, 0.0))
-    return tuple(pts)
-
-
 def _outcome(build):
     try:
         return build()
@@ -421,7 +411,8 @@ def test_placement_validates_like_the_validator(arcs, radius):
     except InvalidAnglesError:
         reject()
     placed = _outcome(lambda: vertices_from_angles(angles, radius))
-    validated = _outcome(lambda: InscribedPolygon(radius, _placed(angles, radius)))
+    pts = references.vertices(angles.arcs, radius)
+    validated = _outcome(lambda: InscribedPolygon(radius, pts))
     assert placed == validated
 
 

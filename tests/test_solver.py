@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import references
 from semichord import (
     CentralAngles,
     ConvergenceError,
@@ -31,7 +32,7 @@ from semichord import (
 )
 from semichord import cli, solver
 from semichord.geometry import ARC_SUM_TOL
-from semichord.solver import _bracket_end, _newton_descent, _ratio
+from semichord.solver import _bracket_end, _newton_descent
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -297,75 +298,9 @@ class TestNewtonStart:
     @example(ratios=[1.0, 1e-8], k=0)
     @example(ratios=[1.0] + [1.3e-9] * 60, k=0)
     @settings(max_examples=200, deadline=None)
-    def test_matches_the_fused_descent_bit_for_bit(self, ratios, k):
+    def test_matches_the_written_out_solution_bit_for_bit(self, ratios, k):
         sides = [math.ldexp(c, k) for c in ratios]
-        assert solve_diameter(sides) == _fused_solve(sides)
-
-
-def _tangent_closed_form(m, ratios):
-    """d = m / cos(theta) at t0 = 1, theta the other sides' arcs on m, written out."""
-    theta = math.fsum([math.asin(c) for c in ratios if c < 1.0])
-    return m + m * (2.0 * math.sin(0.5 * theta) ** 2 / math.cos(theta))
-
-
-def _fused_solve(sides):
-    """solve_diameter with value and slope in one closure, stepping as before.
-
-    Evaluates the slope at every iterate it evaluates, the last one
-    included, and takes the same stopping rule: a step whose next step
-    the secant of the last two slopes certifies below half an ulp ends
-    the descent unevaluated.  At t0 = 1 it takes the closed form instead,
-    with no step.  The solver must agree with it bit for bit.
-    """
-    sides = tuple(sides)
-    m = max(sides)
-    ratios = [a / m for a in sides]
-
-    def g(t):
-        total = slope = 0.0
-        for c in ratios:
-            x = c * t
-            total += math.asin(x)
-            gap = (1.0 - x) * (1.0 + x)
-            slope += c / math.sqrt(gap) if gap > 0.0 else math.inf
-        return 2.0 * total - math.pi, 2.0 * slope
-
-    ratio_sum = math.fsum(ratios)
-    t = min(
-        1.0 / math.sqrt(math.fsum(c * c for c in ratios)), 0.5 * math.pi / ratio_sum
-    )
-    steps = 0
-    if t == 1.0:
-        d = _tangent_closed_form(m, ratios)
-        value = g(m / d)[0]
-    else:
-        value, slope = g(t)
-        previous = None
-        while value > 0.0:
-            nxt = t - value / slope
-            if not nxt < t:
-                break
-            steps += 1
-            delta = t - nxt
-            if previous is not None:
-                t_before, slope_before = previous
-                secant = (slope_before - slope) / (t_before - t)
-                bound = 0.5 * secant * delta * delta
-                if secant >= 0.0 and slope - secant * delta > 0.0:
-                    if bound < 0.5 * math.ulp(nxt) * (slope - secant * delta):
-                        t, value = nxt, bound
-                        break
-            previous = t, slope
-            t, (value, slope) = nxt, g(nxt)
-        d = m / t
-    excess = arc_sum(d, sides) - math.pi
-    return DiameterSolution(
-        d=d,
-        bracket_low=d if excess >= 0.0 else _bracket_end(sides, d, -1.0),
-        bracket_high=d if excess <= 0.0 else _bracket_end(sides, d, 1.0),
-        iterations=steps,
-        arc_sum_residual=abs(value),
-    )
+        assert solve_diameter(sides) == references.solution(sides)
 
 
 def _bumped_sides(d, ratios, bumps):
@@ -398,22 +333,14 @@ class TestRatioKernel:
     def test_arc_total_matches_clamped_reference(self, case):
         d, ratios, bumps = case
         sides = _bumped_sides(d, ratios, bumps)
-        reference = 0.0
-        for a in sides:
-            reference += math.asin(_ratio(a, d))
-        assert arc_sum(d, sides) == 2.0 * reference
+        assert arc_sum(d, sides) == references.arc_sum(d, sides)
 
     @given(case=ratio_sides)
     @settings(max_examples=300, deadline=None)
     def test_arcs_match_enumerated_complement(self, case):
         d, ratios, bumps = case
         sides = _bumped_sides(d, ratios, bumps)
-        reference = [2.0 * math.asin(_ratio(a, d)) for a in sides]
-        widest = max(range(len(sides)), key=lambda i: sides[i])
-        reference[widest] = math.pi - math.fsum(
-            arc for i, arc in enumerate(reference) if i != widest
-        )
-        assert arcs_from_sides(sides, d) == reference
+        assert arcs_from_sides(sides, d) == references.arcs_from_sides(sides, d)
 
     def test_clamp_path_is_exercised(self):
         d = 3.0
@@ -544,70 +471,6 @@ class TestInscribeSkipsTheCertificate:
         assert calls[0] == d and calls.count(d) == 1
 
 
-def _reference_passes(sides):
-    """``_solve``'s value pass, slope pass, t0 and floor, written out.
-
-    The loops call ``math.`` functions and Σc² is summed over a list; the
-    solver must match them bit for bit.
-    """
-    m = max(sides)
-    ratios = [a / m for a in sides]
-    ratio_sum = math.fsum(ratios)
-
-    def g(t):
-        total = 0.0
-        for c in ratios:
-            total += math.asin(c * t)
-        return 2.0 * total - math.pi
-
-    def g_slope(t):
-        slope = 0.0
-        for c in ratios:
-            x = c * t
-            slope += c / math.sqrt((1.0 - x) * (1.0 + x))
-        return 2.0 * slope
-
-    t0 = min(
-        1.0 / math.sqrt(math.fsum([c * c for c in ratios])), 0.5 * math.pi / ratio_sum
-    )
-    return g, g_slope, t0, 1.0 / ratio_sum
-
-
-def _reference_solve(sides):
-    sides = tuple(map(float, sides))
-    m = max(sides)
-    value, slope, t0, floor = _reference_passes(sides)
-    if t0 == 1.0:
-        d = _tangent_closed_form(m, [a / m for a in sides])
-        return sides, d, value(m / d), 0
-    t, residual, steps = _newton_descent(value, slope, t0, floor)
-    return sides, m / t, residual, steps
-
-
-def _reference_arc_sum(d, sides):
-    total = 0.0
-    for a in sides:
-        total += math.asin(a / d if a <= d else _ratio(a, d))
-    return 2.0 * total
-
-
-def _reference_vertices(sides):
-    """inscribe_from_sides' vertices, placed with ``math.cos``/``math.sin``."""
-    sides, d, _, _ = _reference_solve(sides)
-    arcs = [2.0 * math.asin(a / d if a <= d else _ratio(a, d)) for a in sides]
-    widest = sides.index(max(sides))
-    arcs[widest] = 0.0
-    arcs[widest] = math.pi - math.fsum(arcs)
-    R = 0.5 * d
-    pts = [(-R, 0.0)]
-    theta = math.pi
-    for arc in arcs[:-1]:
-        theta -= arc
-        pts.append((R * math.cos(theta), R * math.sin(theta)))
-    pts.append((R, 0.0))
-    return arcs, pts
-
-
 def _bits(*values):
     """The floats' bytes, so -0.0 and 0.0 differ and nan equals itself."""
     return struct.pack(f"<{len(values)}d", *values)
@@ -626,23 +489,25 @@ class TestLoopsMatchTheirReference:
 
         with mock.patch.object(solver, "_newton_descent", descent):
             got_sides, d, residual, steps = solver._solve(sides)
-        ref_sides, ref_d, ref_residual, ref_steps = _reference_solve(sides)
+        ref_sides, ref_d, ref_residual, ref_steps = references.solve(sides)
         assert _bits(*got_sides, d, residual) == _bits(*ref_sides, ref_d, ref_residual)
         assert steps == ref_steps
+        assert solve_diameter(sides) == references.solution(sides)
         # Each pass on its own, at the start, the root and between them.  At
         # t0 = 1 d comes in closed form, with no descent to check.
-        ref_value, ref_slope, ref_t0, ref_floor = _reference_passes(ref_sides)
+        ref_value, ref_slope, ref_t0, ref_floor = references.passes(ref_sides)
         assert len(passes) == (0 if ref_t0 == 1.0 else 1)
         for value, slope, t0, floor in passes:
             assert _bits(t0, floor) == _bits(ref_t0, ref_floor)
             root = max(sides) / d
             for t in (t0, root, 0.5 * (t0 + root)):
                 assert _bits(value(t), slope(t)) == _bits(ref_value(t), ref_slope(t))
-        ref_arcs, ref_pts = _reference_vertices(sides)
+        ref_arcs = references.arcs_from_sides(ref_sides, ref_d)
         assert _bits(*arcs_from_sides(sides, d)) == _bits(*ref_arcs)
         for at in (d, max(sides)):
-            assert _bits(arc_sum(at, sides)) == _bits(_reference_arc_sum(at, sides))
+            assert _bits(arc_sum(at, sides)) == _bits(references.arc_sum(at, sides))
         vertices = inscribe_from_sides(sides).vertices
+        ref_pts = references.vertices(ref_arcs, 0.5 * ref_d)
         assert _bits(*(v for p in vertices for v in p)) == _bits(
             *(v for p in ref_pts for v in p)
         )
@@ -712,7 +577,7 @@ class TestVerticalTangent:
         m = math.ldexp(mantissa, k)
         s = m * ratio
         sides = [s, m] if flip else [m, s]
-        assume(s > 0.0 and _reference_passes(tuple(sides))[2] == 1.0)
+        assume(s > 0.0 and references.passes(sides)[2] == 1.0)
         solution = solve_diameter(sides)
         assert solution.iterations == 0
         assert _within_half_an_ulp_of_the_hypotenuse(solution.d, m, s)
@@ -781,10 +646,10 @@ def test_passes_per_solve_on_the_solve_wide_inputs():
     assert mean_passes == pytest.approx(2.4157, abs=1e-4)
 
 
-def _angles_outcome(build, arcs):
-    """The angles ``build`` gives, or the class and message it raises."""
+def _outcome(build, *args):
+    """What ``build`` returns, or the class and message it raises."""
     try:
-        return build(arcs)
+        return build(*args)
     except SemichordError as error:
         return type(error), str(error)
 
@@ -830,8 +695,8 @@ class TestCheckedAngles:
         ids=["negative-widest", "one-positive", "one-of-three", "nan"],
     )
     def test_failed_rule_gets_the_central_angles_error(self, arcs, widest):
-        got = _angles_outcome(lambda a: solver._partition(a, widest), arcs)
-        assert got == _angles_outcome(CentralAngles, arcs)
+        got = _outcome(solver._partition, arcs, widest)
+        assert got == _outcome(CentralAngles, arcs)
         assert got[0] is InvalidAnglesError
 
     @given(built=built_arcs())
@@ -843,8 +708,8 @@ class TestCheckedAngles:
         arcs, widest = built
         if arcs[widest] >= 0.0:
             assert abs(math.fsum(arcs) - math.pi) <= 2 * math.ulp(math.pi)
-        got = _angles_outcome(lambda a: solver._partition(a, widest), arcs)
-        assert got == _angles_outcome(CentralAngles, arcs)
+        got = _outcome(solver._partition, arcs, widest)
+        assert got == _outcome(CentralAngles, arcs)
 
     @pytest.mark.parametrize(
         "arcs, widest",
@@ -858,14 +723,6 @@ class TestCheckedAngles:
         angles = solver._partition(arcs, widest)
         assert type(angles) is CentralAngles
         assert angles == CentralAngles(arcs)
-
-
-def _outcome(build, *args):
-    """The arcs ``build`` gives, or the class and message it raises."""
-    try:
-        return build(*args).arcs
-    except SemichordError as error:
-        return type(error), str(error)
 
 
 def _checked_partition(sides, d):
