@@ -42,16 +42,18 @@ rather than d, sum asin(c_i) over the ratios c_i < 1; that leaves a
 relative error of about theta^4 / 2 in d, below 2^-62 for any list
 under a million sides, since their squared ratios sum to a few ulps.
 Every descent thus starts at t0 < 1, where c_i t < 1 and g' is finite.
-:func:`solve_diameter` then certifies a bracket around d with
-:func:`arc_sum` itself, evaluated once at d: d is an end on each side
-its arc sum allows, and any other end steps outward from d until the
-arc sum crosses pi.  It is the only function here that returns one;
-:func:`inscribe_from_sides` and the fuzz round trip take
-the same d from ``_solve`` without the certificate.
+:func:`solve_diameter` then certifies a bracket around d with g itself,
+evaluated once at m/d: d is an end on each side its value allows, and
+any other end steps outward from d until g(m / end) changes sign.  It
+is the only function here that returns one; :func:`inscribe_from_sides`
+and the fuzz round trip take the same d from ``_solve`` without the
+certificate.  :func:`arc_sum` states the equation in d for callers; no
+solver path evaluates it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import asin, cos, fsum, inf, isfinite, pi, sin, sqrt, ulp
 from operator import mul
@@ -81,8 +83,10 @@ _SIDES_NOT_FINITE = "all sides must be positive and finite"
 class DiameterSolution:
     """Solved diameter with its bracket certificate.
 
-    ``arc_sum(bracket_low) >= pi >= arc_sum(bracket_high)`` holds as
-    :func:`arc_sum` computes it.  ``iterations`` counts Newton steps.
+    ``g(m / bracket_low) >= 0 >= g(m / bracket_high)`` holds as the solver
+    computes g (see the module docstring), m the largest side; g depends
+    only on the ratios a/m and m/d, so the ends scale with the sides
+    exactly.  ``iterations`` counts Newton steps.
     ``arc_sum_residual`` is the arc-sum error at the final iterate, taken
     on the sides divided by the largest one, so it does not depend on
     the sides' scale: its computed magnitude where the descent evaluated
@@ -91,7 +95,7 @@ class DiameterSolution:
     ``_newton_descent``), far below the rounding of an evaluation.  Where
     d comes from the closed form at the vertical tangent (see the module
     docstring), ``iterations`` is 0 and the residual is the computed one
-    at m / d.
+    at m / d, the bracket's own first evaluation.
     """
 
     d: float
@@ -194,24 +198,24 @@ def _newton_descent(value, slope, x: float, floor: float) -> tuple[float, float,
     return x, fx, steps
 
 
-def _bracket_end(sides: tuple[float, ...], d: float, sign: float) -> float:
-    """Bracket end beyond d in direction ``sign``, as arc_sum computes it.
+def _bracket_end(g, m: float, d: float, sign: float) -> float:
+    """Bracket end beyond d in direction ``sign``, as the solver's g computes it.
 
-    Below d the end has an arc sum of at least pi, above d at most pi.
-    The caller has found that d itself is not an end; the steps double
-    from one ulp.  Downward steps stop at the largest side, where the
-    arc sum is at least pi, and upward steps at the largest finite
-    float; if the arc sum there still exceeds pi, the sides have no
-    finite diameter, and ``_finite`` raises.
+    Below d the end has g(m / end) >= 0, above d at most 0.  The caller
+    has found that d itself is not an end; the steps double from one ulp.
+    Downward steps stop at the largest side m, where g(1) >= 0: that
+    side's own term asin(1) rounds to half of pi's float, and no other
+    term is negative.  Upward steps stop at the largest finite float; if
+    g there is still positive, the sides have no finite diameter, and the
+    end returned is inf, for ``_finite`` to raise on.
     """
-    floor = max(sides)
     step = ulp(d)
     while True:
-        end = min(max(d + sign * step, floor), float_info.max)
-        if sign * (arc_sum(end, sides) - pi) <= 0.0:
+        end = min(max(d + sign * step, m), float_info.max)
+        if sign * g(m / end) <= 0.0:
             return end
         if end == float_info.max:
-            _finite(sides, inf)  # raises: no finite end brings the arc sum to pi
+            return inf
         step *= 2.0
 
 
@@ -244,15 +248,18 @@ def _finite(sides: tuple[float, ...], d: float) -> float:
     return d
 
 
-def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
+def _solve(sides) -> tuple[tuple[float, ...], float, float | None, int, Callable, float]:
     """Diameter of the sides by monotone Newton, without a certificate.
 
     At the vertical tangent, t0 = 1, d comes from the closed form of the
-    module docstring instead, after 0 steps.
+    module docstring instead, after 0 steps, and no residual is taken:
+    only :func:`solve_diameter` needs g(m / d), and it evaluates that
+    itself.
 
     Returns the sides as the float tuple it checked, d, the final
-    normalised arc-sum residual and the Newton step count.  Raises as
-    :func:`solve_diameter` does.
+    normalised arc-sum residual (None at the tangent), the Newton step
+    count, g and the largest side m.  Raises as :func:`solve_diameter`
+    does.
     """
     sides, m, ratios, ratio_sum = _scaled(sides)
 
@@ -275,9 +282,9 @@ def _solve(sides) -> tuple[tuple[float, ...], float, float, int]:
         # The vertical tangent: d in closed form (see the module docstring).
         theta = fsum(asin(c) for c in ratios if c < 1.0)
         d = _finite(sides, m + m * (2.0 * sin(0.5 * theta) ** 2 / cos(theta)))
-        return sides, d, g(m / d), 0
+        return sides, d, None, 0, g, m
     t, residual, steps = _newton_descent(g, g_slope, t0, 1.0 / ratio_sum)
-    return sides, _finite(sides, m / t), residual, steps
+    return sides, _finite(sides, m / t), residual, steps, g, m
 
 
 def solve_diameter(sides) -> DiameterSolution:
@@ -287,18 +294,19 @@ def solve_diameter(sides) -> DiameterSolution:
     bounds on the root, max(sides) / sqrt(sum(a^2)) and
     pi * max(sides) / (2 sum(a)) (see the module docstring), or in closed
     form where that start is t = 1, then the bracket is certified around
-    d.  Raises :class:`DomainError` for a side that is not positive and
-    finite, and when the diameter or a bracket end is not a finite
-    float, as when it overflows.
+    d by the same g.  Raises :class:`DomainError` for a side that is not
+    positive and finite, and when the diameter or a bracket end is not a
+    finite float, as when it overflows.
     """
-    sides, d, residual, steps = _solve(sides)
-    excess = arc_sum(d, sides) - pi
+    sides, d, residual, steps, g, m = _solve(sides)
+    # The bracket's first evaluation, and the residual at the tangent.
+    excess = g(m / d)
     return DiameterSolution(
         d=d,
-        bracket_low=d if excess >= 0.0 else _bracket_end(sides, d, -1.0),
-        bracket_high=d if excess <= 0.0 else _bracket_end(sides, d, 1.0),
+        bracket_low=d if excess >= 0.0 else _bracket_end(g, m, d, -1.0),
+        bracket_high=d if excess <= 0.0 else _finite(sides, _bracket_end(g, m, d, 1.0)),
         iterations=steps,
-        arc_sum_residual=abs(residual),
+        arc_sum_residual=abs(excess if residual is None else residual),
     )
 
 
@@ -352,7 +360,7 @@ def inscribe_from_sides(sides) -> InscribedPolygon:
     where it is built, by ``_partition``.
     """
     # _solve returns the sides as a tuple, so a one-shot iterable is read once.
-    sides, d, _, _ = _solve(sides)
+    sides, d, _, _, _, _ = _solve(sides)
     # A subnormal d/2 is a domain error, checked before the arcs it can degenerate.
     radius = _radius(0.5 * d)
     return vertices_from_angles(_partition(*_arcs(sides, d)), radius)

@@ -3,14 +3,14 @@
 One copy each of the steps ``semichord.solver`` and ``vertices_from_angles``
 take, in plain loops over ``math.`` functions that share no code with the
 package, so a test that pins the package to them bit for bit sees a change
-in either.  Only :func:`solution`'s certificate uses the package's own
-``arc_sum`` and ``_bracket_end``.  pytest does not collect this module (it
-has no ``test_`` prefix); tests import it by name, as ``exact_polygons``.
+in either.  pytest does not collect this module (it has no ``test_``
+prefix); tests import it by name, as ``exact_polygons``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from semichord import DiameterSolution, solver
 
@@ -81,27 +81,47 @@ def tangent_closed_form(m, ratios):
 
 
 def solve(sides):
-    """``solver._solve``'s tuple: the float sides, d, the residual and the steps."""
+    """``solver._solve``'s sides, d, residual and steps; no residual at t0 = 1."""
     sides = tuple(map(float, sides))
     m = max(sides)
     value, slope, t0, _ = passes(sides)
     if t0 == 1.0:
-        d = tangent_closed_form(m, [a / m for a in sides])
-        return sides, d, value(m / d), 0
+        return sides, tangent_closed_form(m, [a / m for a in sides]), None, 0
     t, residual, steps = descent(value, slope, t0)
     return sides, m / t, residual, steps
 
 
 def solution(sides):
-    """``solve_diameter(sides)``: :func:`solve`'s d with the package's bracket."""
+    """``solve_diameter(sides)``: :func:`solve`'s d, bracketed in ``passes``' g.
+
+    g is taken once at m/d, and d is an end on each side that value
+    allows.  Any other end steps outward from d by 1, 2, 4, ... ulps of
+    d, held to [m, the largest float], until g at m/end has that end's
+    sign; where none does, the end is inf.
+    """
     sides, d, residual, steps = solve(sides)
-    excess = solver.arc_sum(d, sides) - math.pi
+    m = max(sides)
+    value = passes(sides)[0]
+    excess = value(m / d)
+
+    def end(sign):
+        if sign * excess <= 0.0:
+            return d
+        step = math.ulp(d)
+        while True:
+            at = min(max(d + sign * step, m), sys.float_info.max)
+            if sign * value(m / at) <= 0.0:
+                return at
+            if at == sys.float_info.max:
+                return math.inf
+            step *= 2.0
+
     return DiameterSolution(
         d=d,
-        bracket_low=d if excess >= 0.0 else solver._bracket_end(sides, d, -1.0),
-        bracket_high=d if excess <= 0.0 else solver._bracket_end(sides, d, 1.0),
+        bracket_low=end(-1.0),
+        bracket_high=end(1.0),
         iterations=steps,
-        arc_sum_residual=abs(residual),
+        arc_sum_residual=abs(excess if residual is None else residual),
     )
 
 

@@ -547,7 +547,7 @@ class TestNonFiniteResidual:
 
     @staticmethod
     def _solver_returning(d, monkeypatch):
-        # run_fuzz reads only d from the solver's (sides, d, residual, steps).
+        # run_fuzz reads only d, the second item of the solver's tuple.
         monkeypatch.setattr(fuzz, "_solve", lambda sides: (sides, d, 0.0, 0))
 
     @pytest.mark.parametrize("d, bucket", [(math.nan, "nan"), (math.inf, "inf")])

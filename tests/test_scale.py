@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references
 from semichord import (
     CentralAngles,
     DomainError,
     FuzzConfig,
     InscribedPolygon,
     InvalidAnglesError,
-    arc_sum,
     closing_side,
     corner_identity_residual,
     diagonal,
@@ -54,9 +54,10 @@ EXPONENTS = [-1000, -750, -511, -1, 1, 511, 750, 1000]
 
 
 def _assert_certificate(solution, sides):
+    # In the solver's own g over the ratios a/m, m the largest side.
+    g, m = references.passes(sides)[0], max(sides)
     assert solution.bracket_low <= solution.d <= solution.bracket_high
-    assert arc_sum(solution.bracket_low, sides) >= math.pi
-    assert arc_sum(solution.bracket_high, sides) <= math.pi
+    assert g(m / solution.bracket_low) >= 0.0 >= g(m / solution.bracket_high)
 
 
 @pytest.mark.parametrize("k", EXPONENTS)
@@ -64,7 +65,12 @@ def _assert_certificate(solution, sides):
 def test_solve_diameter_scales_exactly(sides, k):
     scaled = [math.ldexp(a, k) for a in sides]
     solution = solve_diameter(scaled)
-    assert solution.d == math.ldexp(solve_diameter(sides).d, k)
+    unscaled = solve_diameter(sides)
+    assert solution.d == math.ldexp(unscaled.d, k)
+    assert (solution.bracket_low, solution.bracket_high) == (
+        math.ldexp(unscaled.bracket_low, k),
+        math.ldexp(unscaled.bracket_high, k),
+    )
     _assert_certificate(solution, scaled)
 
 
@@ -117,7 +123,7 @@ def test_subnormal_radius_is_a_domain_error():
 
 # Both root finders read, count and check their sides in solver._scaled,
 # and check their d in solver._finite, the only overflow rule; a later
-# check, such as arc_sum's on the diameter, would raise a different message.
+# check, such as a diameter check on d, would raise a different message.
 def test_overflowing_diameter_is_a_domain_error():
     for solve, sides in [
         (solve_diameter, [1.7e308, 1.7e308]),
@@ -130,9 +136,9 @@ def test_overflowing_diameter_is_a_domain_error():
 
 
 def test_overflowing_bracket_end_is_a_domain_error():
-    # d rounds to the largest float, where the arc sum still exceeds pi,
-    # so no finite float is a high end.  The upward steps stop there and
-    # raise through solver._finite, not through arc_sum's diameter check.
+    # d rounds to the largest float, where g at m/d is still positive, so
+    # no finite float is a high end.  The upward steps stop there, and the
+    # end they return, inf, raises through solver._finite.
     sides = [1.7976931348623157e308, 1e300]
     with pytest.raises(DomainError) as info:
         solve_diameter(sides)

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import struct
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -17,6 +18,7 @@ from semichord import (
     ConvergenceError,
     DiameterSolution,
     DomainError,
+    FuzzConfig,
     InvalidAnglesError,
     SemichordError,
     arc_sum,
@@ -26,6 +28,7 @@ from semichord import (
     enumerate_incongruent_quads,
     evaluate_general,
     inscribe_from_sides,
+    run_fuzz,
     side_lengths,
     solve_diameter,
     vertices_from_angles,
@@ -46,6 +49,13 @@ ROOT_3_4_5 = 8.055810359525175
 side_lists = st.lists(
     st.floats(min_value=1e-2, max_value=1e2), min_size=2, max_size=12
 )
+
+
+def _assert_certificate(solution, sides):
+    """The bracket holds d, and g(m / low) >= 0 >= g(m / high) in the solver's g."""
+    g, m = references.passes(sides)[0], max(sides)
+    assert solution.bracket_low <= solution.d <= solution.bracket_high
+    assert g(m / solution.bracket_low) >= 0.0 >= g(m / solution.bracket_high)
 
 
 class TestArcSum:
@@ -107,26 +117,24 @@ class TestSolveDiameter:
         assert solution.d == pytest.approx(ROOT_3_4_5, rel=1e-12)
 
     def test_solution_certificate(self):
-        solution = solve_diameter([2.0, 3.0, 4.0, 5.0])
-        assert solution.bracket_low <= solution.d <= solution.bracket_high
+        sides = [2.0, 3.0, 4.0, 5.0]
+        solution = solve_diameter(sides)
         assert solution.d >= 5.0
         assert solution.arc_sum_residual <= 1e-12
-        sides = [2.0, 3.0, 4.0, 5.0]
-        assert arc_sum(solution.bracket_low, sides) >= math.pi
-        assert arc_sum(solution.bracket_high, sides) <= math.pi
+        _assert_certificate(solution, sides)
 
     @pytest.mark.parametrize(
         "sides, pinned",
         [
             # The descent stops on its prediction, so the residual is the
-            # bound on the exact value there.  The high end steps: the arc
-            # sum at d is just above pi.
+            # bound on the exact value there.  The high end steps: g at
+            # m/d is just above 0.
             (
                 [2, 2, 2],
                 ("0x1.ffffffffffffep+1", "0x1.ffffffffffffep+1",
                  "0x1.0000000000001p+2", 3, "0x1.a8d62267b8888p-52"),
             ),
-            # The low end steps: the arc sum at d is just below pi.
+            # The low end steps: g at m/d is just below 0.
             (
                 [1, 1, 1, 1, 1, 1],
                 ("0x1.ee8dd4748bf16p+1", "0x1.ee8dd4748bf14p+1",
@@ -162,7 +170,8 @@ class TestSolveDiameter:
     @pytest.mark.parametrize("ulps", [3, 10])
     def test_low_end_stops_at_the_largest_side(self, ulps):
         d = 1.0 + ulps * math.ulp(1.0)
-        assert _bracket_end((1.0, 1e-300), d, -1.0) == 1.0
+        g = references.passes((1.0, 1e-300))[0]
+        assert _bracket_end(g, 1.0, d, -1.0) == 1.0
 
     def test_rejects_single_side(self):
         with pytest.raises(DomainError):
@@ -192,10 +201,8 @@ class TestSolveDiameter:
     @settings(max_examples=150, deadline=None)
     def test_existence_and_bracket(self, sides):
         solution = solve_diameter(sides)
-        assert solution.bracket_low <= solution.d <= solution.bracket_high
         assert solution.d >= max(sides)
-        assert arc_sum(solution.bracket_low, sides) >= math.pi
-        assert arc_sum(solution.bracket_high, sides) <= math.pi
+        _assert_certificate(solution, sides)
 
     @given(
         weights=st.lists(
@@ -235,8 +242,7 @@ class TestNewtonStart:
         solution = solve_diameter(sides)
         assert solution.iterations == 0
         assert abs(solution.d - expected) <= math.ulp(expected)
-        assert arc_sum(solution.bracket_low, sides) >= math.pi
-        assert arc_sum(solution.bracket_high, sides) <= math.pi
+        _assert_certificate(solution, sides)
 
     def test_descent_that_never_settles_raises_with_its_bracket(self):
         # A constant positive value with a huge slope moves x down by 1e-10
@@ -453,22 +459,48 @@ class TestInscribeSkipsTheCertificate:
         assert info.value.code == "domain"
         assert str(info.value) == message
 
-    def test_only_solve_diameter_evaluates_the_arc_sum(self, monkeypatch):
+    def test_no_path_evaluates_the_arc_sum(self):
+        # The bracket is certified in the solver's g, so arc_sum is public
+        # only: no solve, placement, enumeration or fuzz trial reaches it.
         calls = []
 
-        arc_total = solver.arc_sum
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is arc_sum.__code__:
+                calls.append(frame.f_locals["d"])
 
-        def counted(d, sides):
-            calls.append(d)
-            return arc_total(d, sides)
-
-        monkeypatch.setattr(solver, "arc_sum", counted)
         sides = [3.0, 4.0, 5.0, 6.0]
-        inscribe_from_sides(sides)
+        sys.setprofile(profile)
+        try:
+            solve_diameter(sides)
+            inscribe_from_sides(sides)
+            enumerate_incongruent_quads(3.0, 4.0, 5.0)
+            run_fuzz(FuzzConfig(trials=200, n_max=64))
+        finally:
+            sys.setprofile(None)
         assert calls == []
-        d = solve_diameter(sides).d
-        # d is evaluated once; only the steps to the other end follow.
-        assert calls[0] == d and calls.count(d) == 1
+
+    @pytest.mark.parametrize("sides", [[3.0, 4.0, 5.0, 6.0], [2, 2, 2], [1.0, 1e-9]])
+    def test_solve_diameter_evaluates_g_at_d_once(self, sides, monkeypatch):
+        # The descent's last value is at its iterate t, not at m/d, and at
+        # the vertical tangent _solve takes no residual: solve_diameter
+        # evaluates g at m/d once, and beyond that only in the bracket's
+        # outward steps, stubbed here.
+        at = []
+        solve = solver._solve
+
+        def counted(given):
+            *head, g, m = solve(given)
+
+            def value(t):
+                at.append(t)
+                return g(t)
+
+            return (*head, value, m)
+
+        monkeypatch.setattr(solver, "_solve", counted)
+        monkeypatch.setattr(solver, "_bracket_end", lambda g, m, d, sign: d)
+        solution = solve_diameter(sides)
+        assert at == [max(sides) / solution.d]
 
 
 def _bits(*values):
@@ -488,10 +520,12 @@ class TestLoopsMatchTheirReference:
             return _newton_descent(value, slope, x, floor)
 
         with mock.patch.object(solver, "_newton_descent", descent):
-            got_sides, d, residual, steps = solver._solve(sides)
+            got_sides, d, residual, steps, _, _ = solver._solve(sides)
         ref_sides, ref_d, ref_residual, ref_steps = references.solve(sides)
-        assert _bits(*got_sides, d, residual) == _bits(*ref_sides, ref_d, ref_residual)
-        assert steps == ref_steps
+        assert _bits(*got_sides, d) == _bits(*ref_sides, ref_d)
+        assert (steps, residual is None) == (ref_steps, ref_residual is None)
+        if residual is not None:
+            assert _bits(residual) == _bits(ref_residual)
         assert solve_diameter(sides) == references.solution(sides)
         # Each pass on its own, at the start, the root and between them.  At
         # t0 = 1 d comes in closed form, with no descent to check.
@@ -518,16 +552,18 @@ class TestLoopsMatchTheirReference:
         self._check(sides)
 
     def test_thales_triangle(self):
-        assert solver._solve([3.0, 4.0])[1:] == (5.0, 0.0, 1)
+        assert solver._solve([3.0, 4.0])[1:4] == (5.0, 0.0, 1)
         self._check([3.0, 4.0])
 
     def test_vertical_tangent_is_solved_without_a_descent(self):
         # t0 is 1, where c*t == 1 for the long side and the slope is
         # infinite.  The closed form gives d = 1 + 5e-19, which rounds to
-        # 1, after 0 steps; the residual is the short side's excess there.
-        _, d, residual, steps = solver._solve([1.0, 1e-9])
-        assert (d, steps) == (1.0, 0)
-        assert residual == pytest.approx(2e-9, rel=1e-6)
+        # 1, after 0 steps and with no residual pass; solve_diameter's
+        # residual is the short side's excess there.
+        _, d, residual, steps, _, _ = solver._solve([1.0, 1e-9])
+        assert (d, residual, steps) == (1.0, None, 0)
+        solution = solve_diameter([1.0, 1e-9])
+        assert solution.arc_sum_residual == pytest.approx(2e-9, rel=1e-6)
         self._check([1.0, 1e-9])
         # The root 1 + 5e-17 rounds to 1, not to 1 + 2.2e-16.
         assert solve_diameter([1.0, 1e-8]).d == 1.0
@@ -544,7 +580,7 @@ class TestLoopsMatchTheirReference:
         for _ in range(5):
             reference = 1.0 / math.cos(count * math.asin(short / reference))
         assert reference > 1.0
-        _, d, _, steps = solver._solve(sides)
+        _, d, _, steps, _, _ = solver._solve(sides)
         assert steps == 0
         assert abs(d - reference) <= math.ulp(reference)
         self._check(sides)
@@ -598,7 +634,7 @@ class TestVerticalTangent:
         total = math.fsum(weights)
         ratios = [1.0] + [math.sqrt(j * 2.0**-52 * w / total) for w in weights]
         sides = [math.ldexp(c, k) for c in ratios]
-        _, d, _, _ = solver._solve(sides)
+        d = solver._solve(sides)[1]
         assert d >= max(sides)
 
 
@@ -613,9 +649,10 @@ def _solve_wide_pools():
 
 def test_passes_per_solve_on_the_solve_wide_inputs():
     # Step counts are deterministic for fixed inputs.  asin calls are
-    # counted around _solve only, so the closed form's theta and residual
-    # passes on the inputs that start at t0 = 1 count, and arc_sum's do
-    # not.  Only the closed form calls cos, once a solve.
+    # counted around _solve only, so the closed form's theta pass on the
+    # inputs that start at t0 = 1 counts; it takes no residual pass, and
+    # the bracket's are not counted.  Only the closed form calls cos, once
+    # a solve.
     calls = [0]
     tangents = [0]
 
@@ -642,8 +679,8 @@ def test_passes_per_solve_on_the_solve_wide_inputs():
         f"asin calls per side per solve {mean_passes}, over {len(inputs)} inputs"
     )
     assert len(inputs) == 1600
-    assert (calls[0], steps, tangents[0]) == (118479, 3736, 43)
-    assert mean_passes == pytest.approx(2.4157, abs=1e-4)
+    assert (calls[0], steps, tangents[0]) == (116748, 3736, 43)
+    assert mean_passes == pytest.approx(2.3889, abs=1e-4)
 
 
 def _outcome(build, *args):
@@ -741,7 +778,7 @@ class TestPartitionMatchesTheCheckedConstruction:
     @settings(max_examples=300, deadline=None)
     def test_solved_diameter_is_at_least_the_largest_side(self, sides):
         # So no side of a solved polygon takes _ratio's branch.
-        sides, d, _, _ = solver._solve(sides)
+        sides, d, *_ = solver._solve(sides)
         assert d >= max(sides)
 
     @staticmethod
@@ -753,7 +790,7 @@ class TestPartitionMatchesTheCheckedConstruction:
     @given(sides=semicircle_sides())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_checked_partition(self, sides):
-        sides, d, _, _ = solver._solve(sides)
+        sides, d, *_ = solver._solve(sides)
         self._check(sides, d)
         for exponent in range(-15, -8):
             for sign in (1.0, -1.0):
@@ -791,7 +828,7 @@ class TestPartitionMatchesTheCheckedConstruction:
         assert self._check(sides, d) == error
 
     def test_built_without_revalidation_but_equal(self):
-        sides, d, _, _ = solver._solve([3.0, 4.0, 5.0, 6.0])
+        sides, d, *_ = solver._solve([3.0, 4.0, 5.0, 6.0])
         angles = solver._partition(*solver._arcs(sides, d))
         assert type(angles) is CentralAngles
         assert angles == _checked_partition(sides, d)
