@@ -3,8 +3,9 @@
 One copy each of the steps ``semichord.solver`` and ``vertices_from_angles``
 take, in plain loops over ``math.`` functions that share no code with the
 package, so a test that pins the package to them bit for bit sees a change
-in either.  pytest does not collect this module (it has no ``test_``
-prefix); tests import it by name, as ``exact_polygons``.
+in either.  :func:`assert_certificate` checks a solution's bracket in the g
+that :func:`passes` writes out.  pytest does not collect this module (it
+has no ``test_`` prefix); tests import it by name, as ``exact_polygons``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ def passes(sides):
         1.0 / math.sqrt(math.fsum([c * c for c in ratios])), 0.5 * math.pi / ratio_sum
     )
     return value, slope, t0, 1.0 / ratio_sum
+
+
+def assert_certificate(solution, sides):
+    """The bracket holds d, and g(m / low) >= 0 >= g(m / high) in ``passes``' g."""
+    g, m = passes(sides)[0], max(sides)
+    assert solution.bracket_low <= solution.d <= solution.bracket_high
+    assert g(m / solution.bracket_low) >= 0.0 >= g(m / solution.bracket_high)
 
 
 def descent(value, slope, t):

@@ -14,6 +14,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import references
+from support import arc_partitions, radii
 from semichord import (
     CentralAngles,
     ChordSet,
@@ -34,23 +35,6 @@ from semichord import (
 from semichord import corner_identity_residual, fuzz, geometry, identity
 from semichord.geometry import ARC_SUM_TOL
 from semichord.identity import _D_MAX, _D_MIN, _general_identity
-
-
-@st.composite
-def arc_partitions(st_draw, min_n=3, max_n=12, min_weight=1e-3):
-    n = st_draw(st.integers(min_value=min_n, max_value=max_n))
-    weights = st_draw(
-        st.lists(
-            st.floats(min_value=min_weight, max_value=1.0),
-            min_size=n - 1,
-            max_size=n - 1,
-        )
-    )
-    total = math.fsum(weights)
-    return CentralAngles(math.pi * w / total for w in weights)
-
-
-radii = st.floats(min_value=1e-3, max_value=1e3)
 
 
 class TestChordFromAngle:
@@ -296,7 +280,7 @@ class TestChordSet:
             ChordSet((1.0,), 0.0)
 
 
-@given(angles=arc_partitions(), radius=radii)
+@given(angles=arc_partitions(max_n=12, min_weight=1e-3), radius=radii)
 @settings(max_examples=150, deadline=None)
 def test_round_trip_sides_match_chords(angles, radius):
     poly = vertices_from_angles(angles, radius)
@@ -315,7 +299,7 @@ def test_thales_for_any_arc_split(t, radius):
     assert abs(a * a + b * b - 4.0 * radius * radius) <= 1e-11 * radius * radius
 
 
-@given(angles=arc_partitions(), radius=radii)
+@given(angles=arc_partitions(max_n=12, min_weight=1e-3), radius=radii)
 @settings(max_examples=150, deadline=None)
 def test_reflection_symmetry(angles, radius):
     poly = vertices_from_angles(angles, radius)
@@ -328,14 +312,14 @@ def test_reflection_symmetry(angles, radius):
         assert math.hypot(px - qx, py - qy) <= 1e-12 * radius
 
 
-@given(angles=arc_partitions(), radius=radii)
+@given(angles=arc_partitions(max_n=12, min_weight=1e-3), radius=radii)
 @settings(max_examples=150, deadline=None)
 def test_closing_side_is_diameter(angles, radius):
     poly = vertices_from_angles(angles, radius)
     assert abs(diagonal(poly, 0, poly.n - 1) - 2.0 * radius) <= 1e-12 * radius
 
 
-@given(angles=arc_partitions(max_n=8), radius=radii)
+@given(angles=arc_partitions(max_n=8, min_weight=1e-3), radius=radii)
 @settings(max_examples=100, deadline=None)
 def test_diagonals_match_summed_arcs(angles, radius):
     poly = vertices_from_angles(angles, radius)
@@ -461,7 +445,7 @@ def test_edge_distances_match_the_hand_written_form():
 
 
 @given(
-    angles=arc_partitions(max_n=24),
+    angles=arc_partitions(max_n=24, min_weight=1e-3),
     k=st.integers(min_value=-1000, max_value=1000),
     stress=st.none() | st.integers(min_value=0, max_value=2**64 - 1),
 )

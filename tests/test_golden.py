@@ -9,8 +9,6 @@ change, regenerate the files with
 and record the change in CHANGES.md.
 """
 
-import contextlib
-import io
 import os
 import sys
 import tempfile
@@ -18,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from semichord.cli import main
+from support import run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -56,15 +54,13 @@ EXIT_STATUS = {"construct_1_2": 1}
 
 def run_command(name: str, workdir: Path) -> tuple[int, dict[str, bytes]]:
     """Exit status and output files of one command run inside ``workdir``."""
-    stdout = io.StringIO()
     previous = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(stdout):
-            status = main(COMMANDS[name])
+        status, out, _ = run(COMMANDS[name])
     finally:
         os.chdir(previous)
-    files = {f"{name}.out": stdout.getvalue().encode("utf-8")}
+    files = {f"{name}.out": out.encode("utf-8")}
     svg = workdir / SVG_NAME
     if svg.exists():
         files[f"{name}.svg"] = svg.read_bytes()

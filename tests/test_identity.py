@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import arc_partitions, radii
 from semichord import (
     CentralAngles,
     DomainError,
@@ -32,23 +33,6 @@ def _poly(arc_degrees, radius):
     return vertices_from_angles(
         CentralAngles(math.radians(t) for t in arc_degrees), radius
     )
-
-
-@st.composite
-def arc_partitions(st_draw, min_n=3, max_n=32):
-    n = st_draw(st.integers(min_value=min_n, max_value=max_n))
-    weights = st_draw(
-        st.lists(
-            st.floats(min_value=1e-4, max_value=1.0),
-            min_size=n - 1,
-            max_size=n - 1,
-        )
-    )
-    total = math.fsum(weights)
-    return CentralAngles(math.pi * w / total for w in weights)
-
-
-radii = st.floats(min_value=1e-3, max_value=1e3)
 
 
 class TestRhsQuadrilateral:
@@ -213,14 +197,14 @@ class TestCornerIdentity:
         ) <= 1e-12
 
 
-@given(angles=arc_partitions(), radius=radii)
+@given(angles=arc_partitions(max_n=32, min_weight=1e-4), radius=radii)
 @settings(max_examples=200, deadline=None)
 def test_identity_holds_up_to_32_vertices(angles, radius):
     report = evaluate_general(vertices_from_angles(angles, radius))
     assert report.residual_rel <= 1e-10
 
 
-@given(angles=arc_partitions(max_n=10), radius=radii)
+@given(angles=arc_partitions(max_n=10, min_weight=1e-4), radius=radii)
 @settings(max_examples=100, deadline=None)
 def test_all_nested_quadrilaterals_hold(angles, radius):
     poly = vertices_from_angles(angles, radius)
@@ -228,13 +212,13 @@ def test_all_nested_quadrilaterals_hold(angles, radius):
         assert nested_quadrilateral_check(poly, k).residual_rel <= 1e-10
 
 
-@given(angles=arc_partitions(min_n=4), radius=radii)
+@given(angles=arc_partitions(max_n=32, min_weight=1e-4, min_n=4), radius=radii)
 @settings(max_examples=150, deadline=None)
 def test_corner_identity_holds(angles, radius):
     assert corner_identity_residual(vertices_from_angles(angles, radius)) <= 1e-10
 
 
-@given(angles=arc_partitions(), radius=radii)
+@given(angles=arc_partitions(max_n=32, min_weight=1e-4), radius=radii)
 @settings(max_examples=100, deadline=None)
 def test_appending_zero_arc_keeps_rhs(angles, radius):
     base = evaluate_general(vertices_from_angles(angles, radius)).rhs
@@ -244,7 +228,11 @@ def test_appending_zero_arc_keeps_rhs(angles, radius):
     assert abs(extended - base) <= 1e-13 * base
 
 
-@given(angles=arc_partitions(max_n=10), radius=radii, power=st.integers(-20, 20))
+@given(
+    angles=arc_partitions(max_n=10, min_weight=1e-4),
+    radius=radii,
+    power=st.integers(-20, 20),
+)
 @settings(max_examples=100, deadline=None)
 def test_scale_covariance_exact_for_binary_factors(angles, radius, power):
     # Powers of two rescale every coordinate exactly, so both sides and
@@ -260,7 +248,11 @@ def test_scale_covariance_exact_for_binary_factors(angles, radius, power):
     assert scaled.residual_rel == base.residual_rel
 
 
-@given(angles=arc_partitions(max_n=10), radius=radii, factor=st.floats(0.3, 3.0))
+@given(
+    angles=arc_partitions(max_n=10, min_weight=1e-4),
+    radius=radii,
+    factor=st.floats(0.3, 3.0),
+)
 @settings(max_examples=100, deadline=None)
 def test_scale_covariance_generic_factor(angles, radius, factor):
     base = evaluate_general(vertices_from_angles(angles, radius))
@@ -270,7 +262,7 @@ def test_scale_covariance_generic_factor(angles, radius, factor):
     assert scaled.residual_rel <= 1e-10
 
 
-@given(angles=arc_partitions(min_n=4, max_n=6), radius=radii)
+@given(angles=arc_partitions(max_n=6, min_weight=1e-4, min_n=4), radius=radii)
 @settings(max_examples=200, deadline=None)
 def test_closed_forms_specialize_the_general_evaluator(angles, radius):
     poly = vertices_from_angles(angles, radius)

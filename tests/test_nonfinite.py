@@ -5,24 +5,22 @@ Range guards are negated comparisons that bound a value on both sides
 its diameter 2R, which must be finite, and from below by the smallest
 normal float, and the closed forms and the fuzz radius range through the
 identity's diameter window.  An input that is not a real number (a str,
-None, a complex) is rejected with the same codes.  On the command
-line such input exits 1 with an error code and prints no ``nan`` or
-``inf`` token; so does a payload that would carry one.
+None, a complex) is rejected with the same codes.  The command line's
+side of this, an exit status 1 with a code and no ``nan`` or ``inf``
+token, is checked by ``test_cli.test_contract``.
 """
 
 import dataclasses
-import json
 import math
-import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from support import NONFINITE_TOKEN
 from semichord import (
     CentralAngles,
     ChordSet,
-    CounterexampleReport,
     DomainError,
     FuzzConfig,
     InscribedPolygon,
@@ -46,8 +44,6 @@ from semichord import (
     solve_diameter,
     vertices_from_angles,
 )
-from semichord import cli
-from semichord.cli import main
 
 NAN = math.nan
 INF = math.inf
@@ -55,8 +51,6 @@ HALF = math.pi / 2
 TRIANGLE = ((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0))
 # Radii float() rejects, and reals no float holds, which read as nan.
 NON_REAL = ["x", None, 1j, Decimal("sNaN"), pytest.param(10**400, id="10**400")]
-
-NONFINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
 class TestCentralAngles:
@@ -703,80 +697,3 @@ class TestFuzzConfig:
         config = FuzzConfig(radius_min=Decimal("0.5"), trials=3)
         assert config == FuzzConfig(radius_min=0.5, trials=3)
         assert run_fuzz(config) == run_fuzz(FuzzConfig(radius_min=0.5, trials=3))
-
-
-class TestCli:
-    @pytest.mark.parametrize(
-        "argv, code",
-        [
-            (["verify", "90,90", "--radius", "nan"], "domain"),
-            (["verify", "90,90", "--radius", "inf"], "domain"),
-            (["verify", "nan,90,90", "--radius", "1"], "invalid_angles"),
-            (["verify", "inf,90", "--radius", "1"], "invalid_angles"),
-            (["render", "90,90", "--radius", "nan", "--out", "d.svg"], "domain"),
-            (["fuzz", "--trials", "2", "--tolerance", "nan"], "domain"),
-            (["fuzz", "--trials", "2", "--tolerance", "inf"], "domain"),
-            (["fuzz", "--trials", "2", "--radius-max", "inf"], "domain"),
-            (["solve", "nan,1"], "domain"),
-            (["solve", "inf,1"], "domain"),
-            (["verify", "nan,1"], "domain"),
-            (["construct", "inf,1,1"], "domain"),
-            (["construct", "1,nan,1"], "domain"),
-            (["render", "90,90", "--radius", "1e308", "--out", "d.svg"], "domain"),
-            (["verify", "30,60,90", "--radius", "1e-312"], "domain"),
-            (["render", "30,60,90", "--radius", "1e-312", "--out", "d.svg"], "domain"),
-            (["fuzz", "--trials", "50", "--radius-max", "1e120"], "domain"),
-            (["verify", "5e-324,5e-324"], "domain"),
-            (["render", "5e-324,5e-324", "--out", "d.svg"], "domain"),
-        ],
-    )
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_exits_with_code_and_no_non_finite_token(
-        self, argv, code, fmt, capsys, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        status = main(argv + ["--format", fmt])
-        out = capsys.readouterr().out
-        assert status == 1
-        assert not NONFINITE_TOKEN.search(out), out
-        if fmt == "json":
-            doc = json.loads(out)
-            assert doc["status"] == "error"
-            assert doc["payload"]["code"] == code
-        else:
-            assert f"payload.code = {code}" in out.splitlines()
-        assert not (tmp_path / "d.svg").exists()
-
-
-class TestFinitePayload:
-    """A handler's payload holding nan or inf never prints as ``status: ok``.
-
-    ``counterexample`` is fed a report whose residual field holds each
-    shape; ``cli._record`` reads the report into the payload with every
-    leaf unchanged.
-    """
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            {"d": NAN},
-            {"d": 1.0, "nested": {"values": [2.0, INF]}},
-            {"pairs": [(1.0, -INF)]},
-        ],
-    )
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_non_finite_payload_is_a_domain_error(
-        self, payload, fmt, capsys, monkeypatch
-    ):
-        report = CounterexampleReport(True, payload, 0.0, 1.0)
-        monkeypatch.setattr(cli, "counterexample_report", lambda: report)
-        status = main(["counterexample", "--format", fmt])
-        out = capsys.readouterr().out
-        assert status == 1
-        assert not NONFINITE_TOKEN.search(out), out
-        if fmt == "json":
-            doc = json.loads(out)
-            assert doc["status"] == "error"
-            assert doc["payload"]["code"] == "domain"
-        else:
-            assert "payload.code = domain" in out.splitlines()

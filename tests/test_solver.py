@@ -51,13 +51,6 @@ side_lists = st.lists(
 )
 
 
-def _assert_certificate(solution, sides):
-    """The bracket holds d, and g(m / low) >= 0 >= g(m / high) in the solver's g."""
-    g, m = references.passes(sides)[0], max(sides)
-    assert solution.bracket_low <= solution.d <= solution.bracket_high
-    assert g(m / solution.bracket_low) >= 0.0 >= g(m / solution.bracket_high)
-
-
 class TestArcSum:
     def test_thales_triangle(self):
         assert arc_sum(5.0, [3.0, 4.0]) == pytest.approx(math.pi, abs=1e-15)
@@ -121,7 +114,7 @@ class TestSolveDiameter:
         solution = solve_diameter(sides)
         assert solution.d >= 5.0
         assert solution.arc_sum_residual <= 1e-12
-        _assert_certificate(solution, sides)
+        references.assert_certificate(solution, sides)
 
     @pytest.mark.parametrize(
         "sides, pinned",
@@ -202,7 +195,7 @@ class TestSolveDiameter:
     def test_existence_and_bracket(self, sides):
         solution = solve_diameter(sides)
         assert solution.d >= max(sides)
-        _assert_certificate(solution, sides)
+        references.assert_certificate(solution, sides)
 
     @given(
         weights=st.lists(
@@ -242,7 +235,7 @@ class TestNewtonStart:
         solution = solve_diameter(sides)
         assert solution.iterations == 0
         assert abs(solution.d - expected) <= math.ulp(expected)
-        _assert_certificate(solution, sides)
+        references.assert_certificate(solution, sides)
 
     def test_descent_that_never_settles_raises_with_its_bracket(self):
         # A constant positive value with a huge slope moves x down by 1e-10
