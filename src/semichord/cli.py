@@ -41,8 +41,15 @@ def _parse_values(text: str) -> list[float]:
         raise ParseError(f"no numbers found in {text!r}")
     try:
         return [float(part) for part in items]
-    except ValueError as exc:
-        raise ParseError(f"could not parse {text!r} as a number list") from exc
+    except ValueError:
+        # Named by position: the text may hold a nan or inf.
+        for position, part in enumerate(items, start=1):
+            try:
+                float(part)
+            except ValueError as exc:
+                message = f"item {position} of the number list is not a number"
+                raise ParseError(message) from exc
+        raise
 
 
 def _polygon_from_args(values: str, radius: float | None) -> InscribedPolygon:

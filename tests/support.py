@@ -12,7 +12,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from semichord import CentralAngles, cli
+from semichord import CentralAngles, SemichordError, SplitMix64, cli, fuzz
 
 #: The package source, for a child process's PYTHONPATH.
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -33,6 +33,44 @@ def run(argv):
         except SystemExit as exc:
             status = exc.code
     return status, out.getvalue(), err.getvalue()
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` returns, or the class, code and message it raises.
+
+    Only a ``SemichordError`` is caught: any other exception fails the
+    test that asked.
+    """
+    try:
+        return build(*args)
+    except SemichordError as error:
+        return type(error), error.code, str(error)
+
+
+class Draws(SplitMix64):
+    """A generator that returns chosen draws: floats in turn, and one index."""
+
+    def __init__(self, floats, below=0):
+        super().__init__(0)
+        self.floats = iter(floats)
+        self.below = below
+
+    def next_positive_float(self):
+        return next(self.floats)
+
+    def next_below(self, n):
+        return self.below
+
+
+def solver_returning(d, monkeypatch):
+    """Make every fuzz round trip solve its sides to ``d``.
+
+    The fake returns ``solver._solve``'s six items: the sides, d, a zero
+    residual, no steps, a g that is 0 everywhere and the largest side.
+    """
+    monkeypatch.setattr(
+        fuzz, "_solve", lambda sides: (tuple(sides), d, 0.0, 0, lambda t: 0.0, max(sides))
+    )
 
 
 @st.composite

@@ -9,7 +9,7 @@ from dataclasses import asdict, fields, replace
 
 import pytest
 
-from support import NONFINITE_TOKEN, SRC, run
+from support import NONFINITE_TOKEN, SRC, run, solver_returning
 from semichord import (
     CentralAngles,
     CounterexampleReport,
@@ -64,6 +64,10 @@ CONTRACT = [
     ("solve 1,x", 1, "parse"),
     ("solve ,", 1, "parse"),
     ("verify 3,four", 1, "parse"),
+    # A parse error names the item by its position, not by the text,
+    # which may hold a nan or inf.
+    ("solve nan,x", 1, "parse"),
+    ("verify inf,q --radius 1", 1, "parse"),
     ("construct 1,2", 1, "parse"),
     ("solve 3", 1, "domain"),
     ("verify 1,2 --radius 2", 1, "invalid_angles"),
@@ -176,6 +180,18 @@ def test_non_finite_payload_is_a_domain_error(residual, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "counterexample_report", lambda: report)
     monkeypatch.chdir(tmp_path)
     _check_row(["counterexample"], 1, "domain")
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_round_trip_is_a_domain_error(tmp_path, monkeypatch):
+    """A fuzz round trip that solves to nan is the ``fuzz --trials 5`` ``1:domain`` row.
+
+    No real solve gives nan, so the solver is faked; the report then
+    holds a nan residual, which the payload must not carry.
+    """
+    solver_returning(math.nan, monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    _check_row(["fuzz", "--trials", "5"], 1, "domain")
 
 
 @pytest.mark.parametrize("line", ["construct 3,4,5", "solve 1,x", "verify 1,2 --radius abc"])

@@ -1,6 +1,5 @@
 """Tests for the seeded randomized verification harness."""
 
-import json
 import math
 from unittest import mock
 
@@ -8,12 +7,12 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from support import Draws, outcome, solver_returning
 from semichord import (
     CentralAngles,
     DomainError,
     FuzzConfig,
     InvalidAnglesError,
-    SemichordError,
     SplitMix64,
     corner_identity_residual,
     evaluate_general,
@@ -25,7 +24,6 @@ from semichord import (
     vertices_from_angles,
 )
 from semichord import fuzz, solver
-from semichord.cli import main
 
 # Reference stream for state 0, as published for the splitmix64
 # algorithm; guards against any platform or refactoring drift.
@@ -120,10 +118,6 @@ class TestRandomAngles:
         second = random_angles(8, SplitMix64(123))
         assert first.arcs == second.arcs
 
-    def test_rejects_float_n(self):
-        with pytest.raises(DomainError):
-            random_angles(4.0, SplitMix64(0))
-
     # n - 1 floats are drawn into a list, so n is checked before any draw.
     @pytest.mark.parametrize("n", [2, 65, 10**400], ids=["2", "65", "10**400"])
     def test_rejects_n_out_of_range_before_drawing(self, n):
@@ -135,35 +129,10 @@ class TestRandomAngles:
         assert gen.state == 7
 
 
-class _Draws(SplitMix64):
-    """A generator that returns chosen draws: floats in turn, and one index."""
-
-    def __init__(self, floats, below=0):
-        super().__init__(0)
-        self.floats = iter(floats)
-        self.below = below
-
-    def next_positive_float(self):
-        return next(self.floats)
-
-    def next_below(self, n):
-        return self.below
-
-
-def _outcome(build, *args):
-    """The arcs ``build`` gives, or the class and message it raises."""
-    try:
-        angles = build(*args)
-    except SemichordError as error:
-        return type(error), str(error)
-    assert type(angles) is CentralAngles
-    return angles.arcs
-
-
 def _checked(build, *args):
-    """``_outcome`` with every built list handed to ``CentralAngles`` itself."""
+    """``outcome`` with every built list handed to ``CentralAngles`` itself."""
     with mock.patch.object(fuzz, "_built_angles", lambda arcs, valid: CentralAngles(arcs)):
-        return _outcome(build, *args)
+        return outcome(build, *args)
 
 
 #: Draws as next_positive_float gives them, or any float at all.
@@ -200,8 +169,8 @@ class TestBuildersMatchTheCheckedConstruction:
     @settings(max_examples=500, deadline=None)
     def test_random_angles(self, variates):
         n = len(variates) + 1
-        got = _outcome(random_angles, n, _Draws(variates))
-        assert got == _checked(random_angles, n, _Draws(variates))
+        got = outcome(random_angles, n, Draws(variates))
+        assert got == _checked(random_angles, n, Draws(variates))
 
     @given(variates=st.lists(draws, min_size=2, max_size=63))
     @example(variates=[5e-324, 5e-324])
@@ -212,13 +181,8 @@ class TestBuildersMatchTheCheckedConstruction:
     def test_one_home_for_the_rescale(self, variates):
         # run_fuzz rescales its block draws with _rescaled; it must be
         # random_angles' rescale of the same draws, valid or failing.
-        got = _outcome(fuzz._rescaled, variates)
-        assert got == _outcome(random_angles, len(variates) + 1, _Draws(variates))
-
-    def test_subnormal_draws_fail_the_sum_rule(self):
-        got = _outcome(random_angles, 3, _Draws([5e-324, 5e-324]))
-        assert got[0] is InvalidAnglesError
-        assert got[1].startswith("arcs must sum to pi, got 3.0 ")
+        got = outcome(fuzz._rescaled, variates)
+        assert got == outcome(random_angles, len(variates) + 1, Draws(variates))
 
     @given(
         angles=valid_partitions(),
@@ -234,24 +198,14 @@ class TestBuildersMatchTheCheckedConstruction:
     @example(angles=CentralAngles([1.0, math.pi - 1.0]), tiny=1e7, target=0)
     @settings(max_examples=500, deadline=None)
     def test_stressed(self, angles, tiny, target):
-        got = _outcome(fuzz._stressed, angles, _Draws([tiny], target))
-        assert got == _checked(fuzz._stressed, angles, _Draws([tiny], target))
+        got = outcome(fuzz._stressed, angles, Draws([tiny], target))
+        assert got == _checked(fuzz._stressed, angles, Draws([tiny], target))
 
     def test_overflowing_factor_fails_the_finite_rule(self):
         angles = CentralAngles([math.pi, 5e-324])
-        got = _outcome(fuzz._stressed, angles, _Draws([0.5], 0))
-        assert got == (InvalidAnglesError, "arcs must be finite and sum to pi")
-
-    @pytest.mark.parametrize(
-        "variates",
-        [[0.0, 0.0], [-1.0, 1.0], [1e308, 1e308], [-math.inf, math.inf], [math.inf, 1.0]],
-        ids=["zero", "zero-sum", "overflow", "inf-inf", "inf"],
-    )
-    def test_draws_without_a_finite_positive_total_get_a_coded_error(self, variates):
-        with pytest.raises(InvalidAnglesError) as info:
-            random_angles(len(variates) + 1, _Draws(variates))
-        assert str(info.value) == "arcs must be finite and sum to pi"
-        assert info.value.code == "invalid_angles"
+        got = outcome(fuzz._stressed, angles, Draws([0.5], 0))
+        finite_rule = "arcs must be finite and sum to pi"
+        assert got == (InvalidAnglesError, "invalid_angles", finite_rule)
 
 
 class TestTrialPartitionsAreBuiltOnce:
@@ -285,36 +239,6 @@ class TestTrialPartitionsAreBuiltOnce:
         assert report.failures == ()
         assert stressed
         assert validated == []
-
-
-class TestFuzzConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"trials": 0},
-            {"n_min": 2},
-            {"n_max": 65},
-            {"n_min": 10, "n_max": 5},
-            {"radius_min": 0.0},
-            {"radius_min": 2.0, "radius_max": 1.0},
-            {"tolerance_rel": 0.0},
-            # Radii whose diameters 2R leave the identity window 2^-330..2^330.
-            {"radius_max": 1e120},
-            {"radius_max": 2.0**330},
-            {"radius_min": 2.0**-332},
-            # Integer fields given a float.
-            {"trials": 1e4},
-            {"n_min": 3.0},
-            {"n_max": 12.0},
-            {"seed": 1.5},
-            # bool is a subclass of int, but not an integer count or seed.
-            {"trials": True},
-            {"seed": False},
-        ],
-    )
-    def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(DomainError):
-            FuzzConfig(**kwargs)
 
 
 class TestRunFuzz:
@@ -545,14 +469,9 @@ class TestCoincidentVertices:
 class TestNonFiniteResidual:
     """A nan or inf from any check is a failure, never a crash or a zero."""
 
-    @staticmethod
-    def _solver_returning(d, monkeypatch):
-        # run_fuzz reads only d, the second item of the solver's tuple.
-        monkeypatch.setattr(fuzz, "_solve", lambda sides: (sides, d, 0.0, 0))
-
     @pytest.mark.parametrize("d, bucket", [(math.nan, "nan"), (math.inf, "inf")])
     def test_failure_in_its_own_bucket(self, d, bucket, monkeypatch):
-        self._solver_returning(d, monkeypatch)
+        solver_returning(d, monkeypatch)
         report = run_fuzz(FuzzConfig(trials=5, seed=3))
         assert len(report.failures) == 5
         for failure in report.failures:
@@ -560,12 +479,3 @@ class TestNonFiniteResidual:
             assert not math.isfinite(failure.residual)
         assert list(report.histogram)[-1] == bucket
         assert report.histogram[bucket] == 5
-
-    def test_cli_reports_a_domain_error(self, monkeypatch, capsys):
-        self._solver_returning(math.nan, monkeypatch)
-        assert main(["fuzz", "--trials", "5"]) == 1
-        out = capsys.readouterr().out
-        assert "Traceback" not in out
-        doc = json.loads(out)
-        assert doc["status"] == "error"
-        assert doc["payload"]["code"] == "domain"
