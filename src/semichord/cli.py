@@ -39,17 +39,15 @@ def _parse_values(text: str) -> list[float]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
         raise ParseError(f"no numbers found in {text!r}")
+    values: list[float] = []
     try:
-        return [float(part) for part in items]
-    except ValueError:
+        for part in items:
+            values.append(float(part))
+    except ValueError as exc:
         # Named by position: the text may hold a nan or inf.
-        for position, part in enumerate(items, start=1):
-            try:
-                float(part)
-            except ValueError as exc:
-                message = f"item {position} of the number list is not a number"
-                raise ParseError(message) from exc
-        raise
+        position = len(values) + 1
+        raise ParseError(f"item {position} of the number list is not a number") from exc
+    return values
 
 
 def _polygon_from_args(values: str, radius: float | None) -> InscribedPolygon:
